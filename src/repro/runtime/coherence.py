@@ -43,18 +43,13 @@ class AccessMode(str, Enum):
     writes: bool
 
     @classmethod
-    def parse(cls, text: str) -> "AccessMode":
-        lowered = str(text).strip().lower()
-        aliases = {
-            "r": cls.READ,
-            "read": cls.READ,
-            "w": cls.WRITE,
-            "write": cls.WRITE,
-            "rw": cls.READWRITE,
-            "readwrite": cls.READWRITE,
-        }
+    def parse(cls, text: "str | AccessMode") -> "AccessMode":
+        """A member, or any spelling in ``_MODE_ALIASES`` (case and
+        surrounding whitespace ignored)."""
+        if isinstance(text, cls):
+            return text
         try:
-            return aliases[lowered]
+            return _MODE_ALIASES[str(text).strip().lower()]
         except KeyError:
             raise CoherenceError(
                 f"unknown access mode {text!r}; use read|write|readwrite"
@@ -65,6 +60,17 @@ for _mode in AccessMode:
     _mode.reads = _mode in (AccessMode.READ, AccessMode.READWRITE)
     _mode.writes = _mode in (AccessMode.WRITE, AccessMode.READWRITE)
 del _mode
+
+#: lower-case spelling → mode, built once (``parse`` runs per task access
+#: and per Cascabel pragma parameter)
+_MODE_ALIASES: dict[str, AccessMode] = {
+    "r": AccessMode.READ,
+    "read": AccessMode.READ,
+    "w": AccessMode.WRITE,
+    "write": AccessMode.WRITE,
+    "rw": AccessMode.READWRITE,
+    "readwrite": AccessMode.READWRITE,
+}
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,17 @@ class TransferNeed:
 
 
 class CoherenceDirectory:
-    """Tracks which memory nodes hold valid copies of which handles."""
+    """Tracks which memory nodes hold valid copies of which handles.
+
+    A *transition* is a change of a handle's valid set: a transfer adds
+    a sharer, a write by a non-owner (or by one sharer of several) makes
+    the writer the exclusive owner, and the capacity manager's evictions
+    remove copies.  Each transition drops the handle's ``needed_src``
+    memo and bumps its epoch.  A write by the sole valid owner changes
+    nothing and does neither, so a chain of writes to one tile on one
+    node (a tiled GEMM's ``C`` accumulation) keeps its memo and its
+    vectorized transfer row across tasks.
+    """
 
     def __init__(self):
         #: handle id → set of nodes with a valid copy
@@ -92,7 +108,7 @@ class CoherenceDirectory:
         #: re-walking the sharer sets.  Dropped per-handle on any state
         #: transition for that handle.
         self._need_cache: dict[int, dict[int, int]] = {}
-        #: handle id → validity epoch, bumped on every state transition;
+        #: handle id → validity epoch, bumped on every valid-set change;
         #: lets external caches (the vectorized cost model's per-handle
         #: transfer rows) detect staleness with one dict lookup.
         self._epoch: dict[int, int] = {}
@@ -223,11 +239,16 @@ class CoherenceDirectory:
         self._stats_bytes += need.nbytes
 
     def note_access(self, handle: DataHandle, node: int, mode: AccessMode) -> None:
-        """Apply the coherence transition for a completed access."""
+        """Apply the coherence transition for a completed access.
+
+        A write by the sole valid owner leaves the valid set as it was,
+        so it is not a transition: the memo and the epoch stay put.
+        """
         valid = self.valid_nodes(handle)
         if mode.writes:
-            if len(valid) > 1 or node not in valid:
-                self._stats_invalidations += max(0, len(valid - {node}))
+            if len(valid) == 1 and node in valid:
+                return
+            self._stats_invalidations += len(valid - {node})
             valid.clear()
             valid.add(node)
             self._drop_memo(handle.id)

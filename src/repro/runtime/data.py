@@ -85,6 +85,9 @@ class DataHandle:
         self.id = next(_handle_ids)
         self.name = name or f"h{self.id}"
         self.home_node = home_node
+        #: access mode → the interned :class:`~repro.runtime.tasks.Access`
+        #: of this handle, filled by the tasks that access it
+        self._accesses: dict = {}
         self.parent: Optional["DataHandle"] = None
         self.children: list["DataHandle"] = []
         #: slice of the parent this child covers (for reporting)

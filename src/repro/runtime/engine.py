@@ -48,7 +48,7 @@ from repro.errors import (
     WatchdogTimeoutError,
     WorkerFailureError,
 )
-from repro.kernels.registry import KernelRegistry, default_kernel_registry
+from repro.kernels.registry import Kernel, KernelRegistry, default_kernel_registry
 from repro.model.entities import ProcessingUnit
 from repro.obs import spans as _obs
 from repro.obs.bridge import record_trace_log
@@ -499,6 +499,8 @@ class RuntimeEngine:
 
         self._tasks: list[RuntimeTask] = []
         self._tracker = DependencyTracker()
+        #: kernel name → the Kernel object some worker was found to run
+        self._supported_kernels: dict[str, Kernel] = {}
         self._handles: list[DataHandle] = []
         self._ran = False
         #: worker instance ids taken down by mid-run dynamic events
@@ -545,12 +547,17 @@ class RuntimeEngine:
                 "engine already ran; create a new engine for another run"
             )
         kernel_def = self.registry.get(kernel)  # raises on unknown kernel
-        if not any(kernel_def.supports(w.architecture) for w in self.workers):
-            raise SchedulerError(
-                f"kernel {kernel!r} has no implementation for any worker"
-                f" architecture on platform {self.platform.name!r}"
-                f" (architectures: {sorted({w.architecture for w in self.workers})})"
-            )
+        # only a positive answer is cached: variants are add-only, so a
+        # kernel that ran somewhere still does; identity guards against a
+        # registry that rebinds the name to a new Kernel
+        if self._supported_kernels.get(kernel) is not kernel_def:
+            if not any(kernel_def.supports(w.architecture) for w in self.workers):
+                raise SchedulerError(
+                    f"kernel {kernel!r} has no implementation for any worker"
+                    f" architecture on platform {self.platform.name!r}"
+                    f" (architectures: {sorted({w.architecture for w in self.workers})})"
+                )
+            self._supported_kernels[kernel] = kernel_def
         task = RuntimeTask(
             kernel, accesses, dims=dims, args=args, priority=priority, tag=tag,
             # run-local ids (1..n in submit order): two engines fed the
@@ -558,10 +565,10 @@ class RuntimeEngine:
             # comparable trace fingerprints across engine instances
             task_id=len(self._tasks) + 1,
         )
-        for access in task.accesses:
-            if access.handle.is_partitioned:
+        for handle, _mode in task.accesses:
+            if handle.children:
                 raise RuntimeEngineError(
-                    f"task {task.tag}: handle {access.handle.name!r} is"
+                    f"task {task.tag}: handle {handle.name!r} is"
                     " partitioned; submit tasks on its leaf children"
                 )
         self._tracker.register(task)

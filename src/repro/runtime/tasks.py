@@ -14,9 +14,8 @@ helps ... derive inter-task data-dependencies", §IV-A):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,12 +44,22 @@ class TaskState(str, Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class Access:
-    """One (handle, mode) task parameter."""
+class Access(NamedTuple):
+    """One (handle, mode) task parameter (a tuple, so it unpacks too).
+
+    Immutable, so :class:`RuntimeTask` interns one per (handle, mode) on
+    the handle and every task touching that pair shares it: a tile read
+    by a whole row of GEMM tasks costs one Access, not one per task.
+    """
 
     handle: DataHandle
     mode: AccessMode
+
+
+#: members and canonical spellings → mode, resolved with one lookup;
+#: any other spelling goes through :meth:`AccessMode.parse`
+_MODES: dict = {m: m for m in AccessMode}
+_MODES.update({m.value: m for m in AccessMode})
 
 
 class RuntimeTask:
@@ -77,7 +86,18 @@ class RuntimeTask:
         same ids — and hence identical default tags and byte-identical
         trace fingerprints.  Standalone tasks fall back to a process-wide
         counter.
+
+    Tasks are slotted: a run holds one per submitted task, so the
+    per-instance ``__dict__`` would cost memory and attribute speed.
     """
+
+    __slots__ = (
+        "id", "kernel", "accesses", "dims", "args", "priority", "tag",
+        "state", "depends_on", "dependents", "_unfinished_deps",
+        "worker_id", "start_time", "end_time",
+        "table_index", "kind_id", "cost_sig",
+        "attempt", "incarnation", "fault_armed", "last_error",
+    )
 
     def __init__(
         self,
@@ -92,14 +112,19 @@ class RuntimeTask:
     ):
         self.id = next(_task_ids) if task_id is None else task_id
         self.kernel = kernel
-        self.accesses: tuple[Access, ...] = tuple(
-            Access(handle, mode if isinstance(mode, AccessMode) else AccessMode.parse(mode))
-            for handle, mode in accesses
-        )
+        modes = _MODES
+        interned = []
+        for handle, mode in accesses:
+            mode = modes.get(mode) or AccessMode.parse(mode)
+            access = handle._accesses.get(mode)
+            if access is None:
+                access = handle._accesses[mode] = Access(handle, mode)
+            interned.append(access)
+        self.accesses: tuple[Access, ...] = tuple(interned)
         if not self.accesses:
             raise RuntimeEngineError(f"task {kernel!r} has no data accesses")
         self.dims = tuple(dims) if dims is not None else None
-        self.args = dict(args or {})
+        self.args = dict(args) if args else {}
         self.priority = priority
         self.tag = tag or f"{kernel}#{self.id}"
 
@@ -224,6 +249,11 @@ class TaskTable:
     signature interning feeds the batched cost rows, the state column
     feeds cheap population counts — while scalar per-task objects remain
     the API surface.  Updates are O(1) array stores.
+
+    Rows not yet handed out are pre-filled with a fresh task's values
+    (BLOCKED, worker -1, NaN ready time, priority 0), also when the
+    columns grow, so :meth:`add` stores only the interned kernel and
+    signature ids plus any state or priority that differs.
     """
 
     _GROW = 1024
@@ -246,12 +276,11 @@ class TaskTable:
     def __len__(self) -> int:
         return self._n
 
-    def _ensure_capacity(self) -> None:
-        if self._n < len(self.state):
-            return
+    def _grow(self) -> None:
+        """Double every column; new rows get the fresh-task values."""
         for name in ("state", "kernel_id", "sig_id", "worker", "ready_time", "priority"):
             old = getattr(self, name)
-            grown = np.empty(len(old) * 2, dtype=old.dtype)
+            grown = np.zeros(len(old) * 2, dtype=old.dtype)
             grown[: len(old)] = old
             setattr(self, name, grown)
         self.worker[self._n :] = -1
@@ -259,7 +288,8 @@ class TaskTable:
 
     def add(self, task: RuntimeTask) -> int:
         """Intern ``task``; sets ``task.table_index``/``sig_id``/``kind_id``."""
-        self._ensure_capacity()
+        if self._n == len(self.state):
+            self._grow()
         i = self._n
         self._n += 1
         kid = self._kernels.get(task.kernel)
@@ -273,12 +303,13 @@ class TaskTable:
             sid = len(self.sig_representative)
             self._sigs[sig] = sid
             self.sig_representative.append(task)
-        self.state[i] = _STATE_CODE[task.state]
+        # a fresh row already reads BLOCKED, unplaced, NaN, priority 0
+        if task.state is not TaskState.BLOCKED:
+            self.state[i] = _STATE_CODE[task.state]
+        if task.priority:
+            self.priority[i] = task.priority
         self.kernel_id[i] = kid
         self.sig_id[i] = sid
-        self.worker[i] = -1
-        self.ready_time[i] = np.nan
-        self.priority[i] = task.priority
         task.table_index = i
         task.kind_id = kid
         task.cost_sig = sid
@@ -318,25 +349,33 @@ class DependencyTracker:
 
     def register(self, task: RuntimeTask) -> None:
         """Infer and record dependencies for ``task`` (submission order)."""
-        for access in task.accesses:
-            hid = access.handle.id
-            writer = self._last_writer.get(hid)
-            if access.mode.reads and writer is not None:
-                task.add_dependency(writer)  # RAW
-            if access.mode.writes:
-                if writer is not None:
-                    task.add_dependency(writer)  # WAW
-                for reader in self._readers.get(hid, ()):  # WAR
+        last_writer = self._last_writer
+        readers = self._readers
+        add_dependency = task.add_dependency
+        accesses = task.accesses
+        for handle, mode in accesses:
+            hid = handle.id
+            # every mode reads or writes, so the last writer is always a
+            # producer: RAW for readers, WAW for writers
+            writer = last_writer.get(hid)
+            if writer is not None:
+                add_dependency(writer)
+            if mode.writes:
+                for reader in readers.get(hid, ()):  # WAR
                     if reader is not task:
-                        task.add_dependency(reader)
+                        add_dependency(reader)
         # second pass: update hazard state after *all* deps are known
-        for access in task.accesses:
-            hid = access.handle.id
-            if access.mode.writes:
-                self._last_writer[hid] = task
-                self._readers[hid] = []
-            if access.mode.reads and not access.mode.writes:
-                self._readers.setdefault(hid, []).append(task)
+        for handle, mode in accesses:
+            hid = handle.id
+            if mode.writes:
+                last_writer[hid] = task
+                readers[hid] = []
+            else:
+                since_write = readers.get(hid)
+                if since_write is None:
+                    readers[hid] = [task]
+                else:
+                    since_write.append(task)
 
     def reset(self) -> None:
         self._last_writer.clear()

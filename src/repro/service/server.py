@@ -286,10 +286,13 @@ class RegistryServer:
             # done-callback (which calls task.exception()) stays quiet.
             pass
         finally:
+            # Shutdown can also cancel a handler that is already closing
+            # (its peer hung up a moment before); the close is complete
+            # from this side, so that cancellation is swallowed too.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (asyncio.CancelledError, OSError):
                 pass
 
     async def _read_request(self, reader) -> Optional[_Request]:

@@ -1,6 +1,8 @@
 """Unit tests for the MSI coherence directory."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import CoherenceError
 from repro.runtime.coherence import AccessMode, CoherenceDirectory
@@ -25,6 +27,43 @@ class TestAccessMode:
     def test_parse_bad(self):
         with pytest.raises(CoherenceError):
             AccessMode.parse("readonly-ish")
+
+    @pytest.mark.parametrize("text,mode", [
+        ("r", AccessMode.READ), ("read", AccessMode.READ),
+        ("w", AccessMode.WRITE), ("write", AccessMode.WRITE),
+        ("rw", AccessMode.READWRITE), ("readwrite", AccessMode.READWRITE),
+    ])
+    @pytest.mark.parametrize("variant", [
+        str, str.upper, str.title, lambda t: f"  {t}\t", lambda t: f"\n{t.upper()} ",
+    ])
+    def test_parse_every_spelling_any_case_and_padding(self, text, mode, variant):
+        assert AccessMode.parse(variant(text)) is mode
+
+    @pytest.mark.parametrize("mode", list(AccessMode))
+    def test_parse_passes_members_through(self, mode):
+        assert AccessMode.parse(mode) is mode
+
+    @pytest.mark.parametrize("bad", ["readonly-ish", "", "x", "r w", "read-write", 3])
+    def test_parse_unknown_error_message(self, bad):
+        with pytest.raises(CoherenceError) as err:
+            AccessMode.parse(bad)
+        assert str(err.value) == (
+            f"unknown access mode {bad!r}; use read|write|readwrite"
+        )
+
+    def test_alias_table_is_built_once(self):
+        """``parse`` reads the module-level table, so a patched entry is
+        visible (a table rebuilt per call would ignore it)."""
+        from repro.runtime import coherence
+
+        assert coherence._MODE_ALIASES["readwrite"] is AccessMode.READWRITE
+        table = dict(coherence._MODE_ALIASES)
+        try:
+            coherence._MODE_ALIASES["rd"] = AccessMode.READ
+            assert AccessMode.parse("RD") is AccessMode.READ
+        finally:
+            coherence._MODE_ALIASES.clear()
+            coherence._MODE_ALIASES.update(table)
 
     def test_flags(self):
         assert AccessMode.READ.reads and not AccessMode.READ.writes
@@ -187,6 +226,41 @@ class TestNeedMemo:
         assert d.needed_src(handle, 4) == 0
         assert d.epoch_of(handle) == e0
 
+    def test_sole_owner_write_is_not_a_transition(self, handle):
+        """Rewriting a handle only its writer holds leaves the valid set
+        as it was: the epoch and the ``needed_src`` memo stay put."""
+        d = CoherenceDirectory()
+        d.note_access(handle, 2, AccessMode.WRITE)  # node 2 sole owner
+        epoch, invalidations = d.epoch_of(handle), d.invalidation_count
+        assert d.needed_src(handle, 0) == 2
+        memo = d._need_cache[handle.id]
+        for mode in (AccessMode.WRITE, AccessMode.READWRITE):
+            d.note_access(handle, 2, mode)
+            assert d.epoch_of(handle) == epoch
+            assert d._need_cache[handle.id] is memo
+            assert memo == {0: 2}
+        assert d.invalidation_count == invalidations
+
+    def test_sole_owner_at_home_is_not_a_transition(self, handle):
+        d = CoherenceDirectory()
+        e0 = d.epoch_of(handle)
+        d.note_access(handle, 0, AccessMode.READWRITE)
+        assert d.epoch_of(handle) == e0
+        assert d.valid_nodes(handle) == {0}
+
+    @pytest.mark.parametrize("setup", ["shared", "foreign"])
+    def test_invalidating_write_bumps_epoch_and_drops_memo(self, handle, setup):
+        d = CoherenceDirectory()
+        if setup == "shared":  # node 1 joins node 0: a write on 1 evicts 0
+            d.note_transfer(d.required_transfer(handle, 1, AccessMode.READ))
+        epoch = d.epoch_of(handle)
+        assert d.needed_src(handle, 3) == 0
+        d.note_access(handle, 1, AccessMode.WRITE)
+        assert d.epoch_of(handle) == epoch + 1
+        assert handle.id not in d._need_cache
+        assert d.needed_src(handle, 3) == 1
+        assert d.invalidation_count == 1
+
     def test_reset_clears_memo(self, handle):
         d = CoherenceDirectory()
         d.note_access(handle, 2, AccessMode.WRITE)
@@ -204,3 +278,45 @@ class TestNeedMemo:
         d.valid_nodes(handle).discard(1)
         d.invalidate_need_cache(handle)
         assert d.needed_src(handle, 1) == 0  # re-derived, not stale
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(0, 2),  # handle
+        st.integers(0, 4),  # node
+        st.sampled_from(["read", "write", "readwrite", "evict"]),
+    ),
+    max_size=60,
+))
+def test_memo_equals_uncached_reference_at_every_step(steps):
+    """Random access sequences through the engine's protocol (fetch what
+    a read needs, then note the access; sometimes evict a copy out of
+    band): after every step the memoized ``needed_src`` answers exactly
+    what an uncached ``required_transfer`` computes, for every node."""
+    d = CoherenceDirectory()
+    handles = [DataHandle(shape=(8,), name=f"h{i}") for i in range(3)]
+    for hid, node, action in steps:
+        h = handles[hid]
+        if action == "evict":
+            valid = d.valid_nodes(h)
+            if len(valid) > 1:
+                valid.discard(max(valid))
+                d.invalidate_need_cache(h)
+        else:
+            mode = AccessMode.parse(action)
+            need = d.required_transfer(h, node, mode)
+            if need is not None:
+                d.note_transfer(need)
+            d.note_access(h, node, mode)
+        for other in handles:
+            for probe in range(5):
+                ref = d.required_transfer(other, probe, AccessMode.READ)
+                expect = -1 if ref is None else ref.src_node
+                assert d.needed_src(other, probe) == expect
+            ref_row = [
+                -1 if (r := d.required_transfer(other, n, AccessMode.READ)) is None
+                else r.src_node
+                for n in range(5)
+            ]
+            assert d.needed_src_many(other, range(5)) == ref_row

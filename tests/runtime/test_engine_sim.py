@@ -240,3 +240,89 @@ class TestFigure5Shape:
         result = engine.run()
         per_arch = result.trace.tasks_per_architecture()
         assert per_arch["gpu"] > per_arch["x86_64"]
+
+
+class TestSubmitValidation:
+    """``submit`` caches only the positive "some worker runs this kernel"
+    answer, so every rejection is re-derived on every call."""
+
+    @staticmethod
+    def _registry(variants=()):
+        from repro.kernels.registry import KernelImpl, KernelRegistry
+
+        reg = KernelRegistry()
+        kernel = reg.define("scale", flops=lambda d: 1.0, bytes_touched=lambda d: 8.0)
+        for arch in variants:
+            kernel.add_variant(KernelImpl("scale", arch, f"scale_{arch}", fn=lambda x: x))
+        return reg, kernel
+
+    def test_unknown_kernel_raises_every_time(self, small_platform):
+        from repro.errors import KernelError
+
+        engine = RuntimeEngine(small_platform)
+        h = engine.register(shape=(4,))
+        for _ in range(3):
+            with pytest.raises(KernelError, match="unknown kernel"):
+                engine.submit("warp", [(h, "rw")])
+        assert engine.task_count == 0
+
+    def test_unsupported_kernel_is_never_cached(self, small_platform):
+        from repro.kernels.registry import KernelImpl
+
+        reg, kernel = self._registry(variants=["spe"])  # no such worker
+        engine = RuntimeEngine(small_platform, registry=reg)
+        h = engine.register(shape=(4,))
+        for _ in range(3):
+            with pytest.raises(SchedulerError, match="no implementation"):
+                engine.submit("scale", [(h, "rw")])
+        assert engine.task_count == 0
+        kernel.add_variant(KernelImpl("scale", "x86_64", "scale_cpu", fn=lambda x: x))
+        engine.submit("scale", [(h, "rw")], dims=(4,))
+        engine.submit("scale", [(h, "rw")], dims=(4,))
+        result = engine.run()
+        assert result.task_count == 2
+        assert {t.architecture for t in result.trace.tasks} == {"x86_64"}
+
+    def test_cache_is_keyed_by_kernel_identity(self, small_platform):
+        """A registry that binds the name to another Kernel object is
+        checked afresh, not answered from the cached kernel."""
+        reg, _ = self._registry(variants=["x86_64"])
+        engine = RuntimeEngine(small_platform, registry=reg)
+        h = engine.register(shape=(4,))
+        engine.submit("scale", [(h, "rw")], dims=(4,))
+        engine.registry, _ = self._registry(variants=["spe"])
+        with pytest.raises(SchedulerError, match="no implementation"):
+            engine.submit("scale", [(h, "rw")], dims=(4,))
+        assert engine.task_count == 1
+
+    def test_partitioned_handle_rejected_after_kernel_cached(self, small_platform):
+        engine = RuntimeEngine(small_platform)
+        leaf = engine.register(shape=(8, 8))
+        engine.submit("dgemm", [(leaf, "rw")], dims=(8, 8, 8))
+        whole = engine.register(shape=(8, 8))
+        whole.partition_tiles(2, 2)
+        for _ in range(2):
+            with pytest.raises(RuntimeEngineError, match="partitioned"):
+                engine.submit("dgemm", [(whole, "rw")])
+        assert engine.task_count == 1
+
+    def test_modes_accept_members_and_any_spelling(self, small_platform):
+        from repro.errors import CoherenceError
+        from repro.runtime.coherence import AccessMode
+
+        engine = RuntimeEngine(small_platform)
+        a = engine.register(shape=(16,))
+        b = engine.register(shape=(16,))
+        for modes in [
+            (AccessMode.READWRITE, AccessMode.READ),
+            ("rw", "r"),
+            (" ReadWrite", "READ "),
+        ]:
+            task = engine.submit("dvecadd", [(a, modes[0]), (b, modes[1])], dims=(16,))
+            assert [acc.mode for acc in task.accesses] == [
+                AccessMode.READWRITE, AccessMode.READ,
+            ]
+            handle, mode = task.accesses[0]
+            assert (handle, mode) == (a, AccessMode.READWRITE)
+        with pytest.raises(CoherenceError, match="unknown access mode"):
+            engine.submit("dvecadd", [(a, "rwx"), (b, "r")], dims=(16,))

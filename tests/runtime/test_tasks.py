@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import RuntimeEngineError
+from repro.runtime.coherence import AccessMode
 from repro.runtime.data import DataHandle
 from repro.runtime.tasks import DependencyTracker, RuntimeTask, TaskState
 
@@ -22,6 +23,23 @@ class TestRuntimeTask:
         h = handles(1)[0]
         t = task([(h, "rw")])
         assert t.accesses[0].mode.reads and t.accesses[0].mode.writes
+
+    def test_accesses_are_interned_per_handle_and_mode(self):
+        a, b = handles(2)
+        t1 = task([(a, "rw"), (b, "r")])
+        t2 = task([(a, "readwrite"), (b, "READ")])
+        t3 = task([(a, "r")])
+        assert t1.accesses[0] is t2.accesses[0]
+        assert t1.accesses[1] is t2.accesses[1]
+        assert t3.accesses[0] is not t1.accesses[0]
+        assert t3.accesses[0] == (a, AccessMode.READ)
+        assert t1.accesses[0].handle is a and t1.accesses[0].mode is AccessMode.READWRITE
+
+    def test_tasks_are_slotted(self):
+        t = task([(handles(1)[0], "rw")])
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.not_a_field = 1
 
     def test_no_accesses_rejected(self):
         with pytest.raises(RuntimeEngineError, match="no data accesses"):
@@ -254,6 +272,35 @@ class TestTaskTable:
         import numpy as np
 
         assert np.isnan(table.ready_time[n - 1])
+
+    def test_rows_start_fresh_across_growth(self):
+        """``add`` stores only what differs from a fresh task, so every
+        row handed out — before and after the columns grow — must read
+        BLOCKED, unplaced, NaN and priority 0, or carry the task's own
+        non-default state and priority."""
+        import numpy as np
+
+        from repro.runtime.tasks import TaskTable
+
+        table = TaskTable()
+        n = 2 * TaskTable._GROW + 5
+        tasks = []
+        for i in range(n):
+            t = RuntimeTask("dgemm", [(DataHandle(shape=(4,)), "rw")], priority=i % 3)
+            if i % 7 == 0:
+                t.state = TaskState.READY
+            table.add(t)
+            tasks.append(t)
+        assert len(table.state) > n
+        for t in tasks:
+            i = t.table_index
+            want_state = 1 if t.state is TaskState.READY else 0
+            assert int(table.state[i]) == want_state
+            assert float(table.priority[i]) == t.priority
+            assert int(table.worker[i]) == -1
+            assert np.isnan(table.ready_time[i])
+        assert (table.state[n:] == 0).all() and (table.priority[n:] == 0).all()
+        assert (table.worker[n:] == -1).all() and np.isnan(table.ready_time[n:]).all()
 
     def test_state_transitions_and_counts(self):
         from repro.runtime.tasks import TaskTable

@@ -1,6 +1,8 @@
 """Unit tests for trace logs and run results."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.runtime.trace import RunResult, TaskTrace, TraceLog, TransferTrace
 
@@ -85,3 +87,34 @@ class TestRunResult:
         assert "scheduler=dmda" in text
         assert "gpu=1" in text
         assert "utilization" in text
+
+
+_records = st.lists(
+    st.tuples(
+        st.sampled_from(["cpu#0", "cpu#1", "gpu0", "spe3"]),
+        st.floats(0.0, 1e4, allow_nan=False),
+        st.floats(0.0, 1e3, allow_nan=False),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_records, st.one_of(st.none(), st.integers(1, 40)))
+def test_utilization_equals_busy_time_formula_exactly(records, max_events):
+    """The single-pass ``utilization`` is bit-identical (``==``) to the
+    per-worker reference ``busy_time(w) / makespan``, ring-bounded logs
+    included."""
+    log = TraceLog(max_events=max_events)
+    for i, (worker, start, duration) in enumerate(records):
+        log.record_task(
+            TaskTrace(i, f"t{i}", "k", worker, "arch", start, start + duration, 0.0)
+        )
+    span = log.makespan
+    expected = (
+        {w: log.busy_time(w) / span for w in sorted({t.worker_id for t in log.tasks})}
+        if span > 0 else {}
+    )
+    util = log.utilization()
+    assert util == expected
+    assert list(util) == list(expected)
