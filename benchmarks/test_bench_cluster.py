@@ -6,6 +6,11 @@ periodic re-publishes over 64 platform variants) through two topologies:
 * ``1x0`` — a single shard, the pre-cluster deployment;
 * ``4x2`` — four shards with two read replicas each.
 
+A third, reported-only row is the equal-memory control: ``1x0-mem384``
+is one shard whose caches hold the ``4x2`` topology's aggregate distinct
+capacity (4 shards x 96 slots; replicas only copy their primary's keys).
+It separates "more cache" from "more shards".
+
 The machine has one core, so the speedup is NOT parallelism: it is
 *aggregate cache capacity*.  Every node bounds its pre-selection memo
 and parsed-platform LRU; the 64-variant x 3-program working set cycles
@@ -52,6 +57,10 @@ TOPOLOGIES = [("1x0", 1, 0), ("4x2", 4, 2)]
 #: zero hits, but each of 4 shards owns ~48 keys, which fit
 STORE_KWARGS = {"platform_cache_size": 96, "preselect_cache_size": 96}
 
+#: equal-memory control row: one shard with 4 x 96 slots (no gate)
+EQUAL_MEMORY = ("1x0-mem384", 1, 0)
+EQUAL_MEMORY_KWARGS = {"platform_cache_size": 384, "preselect_cache_size": 384}
+
 
 def _program(index: int) -> str:
     """An annotated translation unit with three interfaces, each carrying
@@ -82,12 +91,18 @@ def _variants() -> list:
     return out
 
 
-def _run_topology(label: str, shards: int, replicas: int, variants: list):
+def _run_topology(
+    label: str,
+    shards: int,
+    replicas: int,
+    variants: list,
+    store_kwargs: dict = STORE_KWARGS,
+):
     launcher = RegistryCluster(
         shards=shards,
         replicas=replicas,
         replication_interval_s=0.02,
-        store_kwargs=dict(STORE_KWARGS),
+        store_kwargs=dict(store_kwargs),
     )
     try:
         cluster_map = launcher.start()
@@ -154,6 +169,7 @@ def _run_topology(label: str, shards: int, replicas: int, variants: list):
             "topology": label,
             "shards": shards,
             "replicas": replicas,
+            "store_caches": dict(store_kwargs),
             "publish_s": publish_s,
             "measured_s": measured_s,
             "fetches": fetches,
@@ -178,6 +194,8 @@ def test_bench_cluster_scaling():
         for label, shards, replicas in TOPOLOGIES
     }
     single, sharded = results["1x0"], results["4x2"]
+    control = _run_topology(*EQUAL_MEMORY, variants, EQUAL_MEMORY_KWARGS)
+    results[control["topology"]] = control
     ratio = sharded["fetch_ops_per_s"] / single["fetch_ops_per_s"]
 
     payload = {
@@ -190,6 +208,9 @@ def test_bench_cluster_scaling():
         "fetch_throughput_ratio": ratio,
         "fingerprints_identical": (
             single["fetch_fingerprint"] == sharded["fetch_fingerprint"]
+        ),
+        "equal_memory_fingerprint_identical": (
+            control["fetch_fingerprint"] == single["fetch_fingerprint"]
         ),
         "topologies": results,
     }
@@ -207,7 +228,7 @@ def test_bench_cluster_scaling():
             str(r["burst_coalesced"]),
             r["fetch_fingerprint"][:16],
         )
-        for r in (single, sharded)
+        for r in (single, sharded, control)
     ]
     print_report(
         f"CLUSTER — mixed-load scaling, {VARIANTS} variants"

@@ -21,7 +21,7 @@ checks those invariants statically, before selection/codegen/runtime:
   :class:`InterferenceReport` (domains, utilization, slowdown matrix);
 * :mod:`repro.analysis.render` — text/JSON/SARIF output;
 * :mod:`repro.analysis.engine` — the :class:`Linter` façade;
-* :mod:`repro.analysis.cli` — the ``repro-lint`` command.
+* :mod:`repro.analysis.cli` — the ``repro lint`` command.
 """
 
 from repro.analysis.diagnostics import (

@@ -1,14 +1,14 @@
-"""``repro-lint`` command line interface.
+"""``repro lint`` command line interface.
 
 Usage::
 
-    repro-lint <path-or-catalog-ref> ...     # .xml/.pdl → PDL pack,
+    repro lint <path-or-catalog-ref> ...     # .xml/.pdl → PDL pack,
                                              # .c/.cc/... → Cascabel pack
-    repro-lint prog.c --platform xeon_x5550_2gpu   # + cross-artifact pack
-    repro-lint --catalog --samples --platform xeon_x5550_2gpu
-    repro-lint --list-rules
-    repro-lint prog.c --format sarif > lint.sarif
-    repro-lint prog.c --select CAS --ignore CAS003 --fail-on error
+    repro lint prog.c --platform xeon_x5550_2gpu   # + cross-artifact pack
+    repro lint --catalog --samples --platform xeon_x5550_2gpu
+    repro lint --list-rules
+    repro lint prog.c --format sarif > lint.sarif
+    repro lint prog.c --select CAS --ignore CAS003 --fail-on error
 
 Bare (non-path) arguments resolve against the shipped PDL catalog and the
 shipped Cascabel samples.  Exit codes are CI-friendly: ``0`` clean, ``1``

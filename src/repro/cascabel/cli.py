@@ -1,11 +1,11 @@
-"""``cascabel`` command line interface.
+"""``repro cascabel`` command line interface.
 
 Subcommands::
 
-    cascabel translate input.c --platform xeon_x5550_2gpu [-o outdir]
-    cascabel inspect input.c            # parsed pragmas / tasks
-    cascabel samples                    # list shipped annotated programs
-    cascabel run input.c --platform P --size N [--scheduler dmda]
+    repro cascabel translate input.c --platform xeon_x5550_2gpu [-o outdir]
+    repro cascabel inspect input.c            # parsed pragmas / tasks
+    repro cascabel samples                    # list shipped annotated programs
+    repro cascabel run input.c --platform P --size N [--scheduler dmda]
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ One entry point, five familiar tools plus trace inspection::
     repro trace view trace.json       # new: render an exported trace
     repro explore sweep ...           # new: design-space exploration
 
-The historical console scripts still work — they print a one-line
-pointer to the umbrella spelling on stderr and delegate — so existing
-muscle memory and scripts keep functioning while documentation moves to
-the unified command.
+The historical console scripts (``pdl-tool``, ``repro-lint``,
+``repro-registry``, ``repro-tune``, ``cascabel``) are retired; the
+``was:`` column above gives each one's umbrella spelling.
 
 Sub-commands are dispatched by first token (not argparse subparsers) so
 each tool keeps full ownership of its own flags, ``--help`` included.
@@ -24,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["main"]
 
@@ -195,27 +194,6 @@ def main(argv: Optional[list] = None) -> int:
         # point stdout at devnull so interpreter shutdown stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-# -- deprecation shims for the historical console scripts --------------------
-def _deprecated(old: str, new: str, delegate: Callable) -> Callable:
-    def shim(argv: Optional[list] = None) -> int:
-        print(
-            f"note: `{old}` is now `{new}` (the old name keeps working)",
-            file=sys.stderr,
-        )
-        return delegate(list(sys.argv[1:] if argv is None else argv))
-
-    shim.__name__ = old.replace("-", "_") + "_shim"
-    shim.__doc__ = f"Deprecated alias: delegates to ``{new}``."
-    return shim
-
-
-pdl_tool_main = _deprecated("pdl-tool", "repro pdl", _dispatch_pdl)
-lint_main = _deprecated("repro-lint", "repro lint", _dispatch_lint)
-registry_main = _deprecated("repro-registry", "repro registry", _dispatch_registry)
-tune_main = _deprecated("repro-tune", "repro tune", _dispatch_tune)
-cascabel_main = _deprecated("cascabel", "repro cascabel", _dispatch_cascabel)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ model or toolchain packages.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from typing import Iterable, Mapping, Optional, Sequence
@@ -22,6 +23,7 @@ __all__ = [
     "percentile",
     "digest_summary",
     "fingerprint_payload",
+    "fingerprint_records",
     "latency_buckets",
     "merge_buckets",
     "percentile_from_buckets",
@@ -176,3 +178,44 @@ def fingerprint_payload(payload: dict) -> str:
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+#: records encoded per ``json.dumps`` call by :func:`fingerprint_records`
+_RECORD_CHUNK = 4096
+
+
+def fingerprint_records(payload: Mapping, records: Mapping[str, Iterable]) -> str:
+    """:func:`fingerprint_payload` of ``payload`` plus one list per
+    ``records`` entry, without building those lists or the canonical text.
+
+    Each record iterable is encoded a chunk at a time straight into the
+    hash, so a trace of a few hundred thousand records costs a chunk of
+    memory instead of every record's dict plus the whole JSON string.
+    The bytes hashed are exactly those of the one-shot form:
+    ``json.dumps`` of a list is ``[`` + its items' encodings joined by
+    ``,`` + ``]``, so chunk encodings with their brackets cut join back
+    into it.
+    """
+    sha = hashlib.sha256()
+
+    def feed(text: str) -> None:
+        sha.update(text.encode("utf-8"))
+
+    def dumps(value) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+    sep = "{"
+    for key in sorted([*payload, *records]):
+        feed(f"{sep}{dumps(key)}:")
+        sep = ","
+        if key not in records:
+            feed(dumps(payload[key]))
+            continue
+        rows = iter(records[key])
+        item_sep = "["
+        while chunk := list(itertools.islice(rows, _RECORD_CHUNK)):
+            feed(item_sep + dumps(chunk)[1:-1])
+            item_sep = ","
+        feed("[]" if item_sep == "[" else "]")
+    feed("{}" if sep == "{" else "}")
+    return sha.hexdigest()

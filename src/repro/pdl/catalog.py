@@ -33,6 +33,7 @@ __all__ = [
     "load_platform",
     "platform_path",
     "content_digest",
+    "is_full_digest",
     "parse_cached",
     "parse_cache_info",
     "clear_parse_cache",
@@ -55,6 +56,15 @@ def content_digest(text: Union[str, bytes]) -> str:
     if isinstance(text, str):
         text = text.encode("utf-8")
     return hashlib.sha256(text).hexdigest()
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def is_full_digest(ref: str) -> bool:
+    """True when ``ref`` is a complete :func:`content_digest` (64 lowercase
+    hex digits) rather than a tag name or a digest prefix."""
+    return len(ref) == 64 and set(ref) <= _HEX_DIGITS
 
 
 class ParseCacheInfo(NamedTuple):

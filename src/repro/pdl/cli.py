@@ -1,12 +1,12 @@
-"""``pdl-tool`` command line interface.
+"""``repro pdl`` command line interface.
 
 Subcommands::
 
-    pdl-tool list                      # shipped descriptors
-    pdl-tool show <file-or-name>       # ASCII control-hierarchy tree
-    pdl-tool validate <file-or-name>   # full validation report
-    pdl-tool roundtrip <file-or-name>  # parse + re-serialize to stdout
-    pdl-tool discover [--gpus ...]     # generate a descriptor for this host
+    repro pdl list                     # shipped descriptors
+    repro pdl show <file-or-name>      # ASCII control-hierarchy tree
+    repro pdl validate <file-or-name>  # full validation report
+    repro pdl roundtrip <file-or-name> # parse + re-serialize to stdout
+    repro pdl discover [--gpus ...]    # generate a descriptor for this host
 """
 
 from __future__ import annotations

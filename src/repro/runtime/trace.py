@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from repro.obs.digest import fingerprint_payload
+from repro.obs.digest import fingerprint_payload, fingerprint_records
 
 __all__ = ["TaskTrace", "TransferTrace", "FaultTrace", "TraceLog", "RunResult"]
 
@@ -209,8 +209,14 @@ class TraceLog:
         block; a bounded log that never hit its ring bound emits exactly
         the unbounded payload.
         """
-        payload = {
-            "tasks": [
+        payload = {name: list(rows) for name, rows in self._records().items()}
+        payload.update(self._dropped_block())
+        return payload
+
+    def _records(self) -> dict:
+        """Record kind → its canonical rows, lazily, in canonical order."""
+        return {
+            "tasks": (
                 {
                     "task_id": t.task_id,
                     "tag": t.tag,
@@ -222,8 +228,8 @@ class TraceLog:
                     "transfer_wait": t.transfer_wait,
                 }
                 for t in sorted(self.tasks, key=lambda t: (t.task_id, t.start))
-            ],
-            "transfers": [
+            ),
+            "transfers": (
                 {
                     "handle": t.handle_name,
                     "nbytes": t.nbytes,
@@ -239,8 +245,8 @@ class TraceLog:
                         t.dst_node, t.nbytes,
                     ),
                 )
-            ],
-            "faults": [
+            ),
+            "faults": (
                 {
                     "kind": f.kind,
                     "time": f.time,
@@ -254,15 +260,19 @@ class TraceLog:
                         f.time, f.kind, f.task_tag, f.worker_id, f.detail
                     ),
                 )
-            ],
+            ),
         }
-        if self.dropped_events:
-            payload["dropped"] = {
+
+    def _dropped_block(self) -> dict:
+        if not self.dropped_events:
+            return {}
+        return {
+            "dropped": {
                 "tasks": self.dropped_tasks,
                 "transfers": self.dropped_transfers,
                 "faults": self.dropped_faults,
             }
-        return payload
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TraceLog":
@@ -315,8 +325,9 @@ class TraceLog:
         """Stable sha256 over :meth:`to_payload` (the shared convention
         of every toolchain report object).  Two runs of the same DAG on
         the same platform fingerprint identically iff their complete
-        task/transfer/fault timelines are byte-identical."""
-        return fingerprint_payload(self.to_payload())
+        task/transfer/fault timelines are byte-identical.  The payload is
+        hashed record chunk by record chunk, never built whole."""
+        return fingerprint_records(self._dropped_block(), self._records())
 
 
 @dataclass

@@ -17,7 +17,7 @@ trailed by oplog-fed read replicas (:class:`RegistryCluster` launches a
 topology; :class:`ClusterClient`/:class:`AsyncClusterClient` route by
 placement).  :class:`AsyncRegistryClient` is the primary client —
 pooled, coalescing, immutable-digest caching — with
-:class:`RegistryClient` as its blocking facade; both take a
+:class:`RegistryClient` as its generated blocking facade; both take a
 :class:`RegistryEndpoint`.
 
 Quick start::

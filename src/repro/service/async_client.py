@@ -1,8 +1,8 @@
 """Asynchronous registry client: pooling, coalescing, immutable caching.
 
 This is the registry's primary client since the sharded redesign; the
-blocking :class:`~repro.service.client.RegistryClient` is a thin sync
-facade over it.  Three properties make it fast under fan-out load:
+blocking :class:`~repro.service.client.RegistryClient` is generated
+from it.  Three properties make it fast under fan-out load:
 
 * **Connection pooling** — keep-alive HTTP/1.1 connections per endpoint
   (bounded by ``pool_size``), so a burst of requests costs one TCP
@@ -27,6 +27,8 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextvars
+import functools
+import inspect
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -35,19 +37,18 @@ from urllib.parse import urlencode, urlsplit
 from repro.errors import ServiceError
 from repro.model.platform import Platform
 from repro.obs import spans as _obs
-from repro.pdl.catalog import content_digest, parse_cached
+from repro.pdl.catalog import content_digest, is_full_digest, parse_cached
 from repro.pdl.writer import write_pdl
 from repro.runtime.faults import FaultPolicy
 from repro.service import protocol
 from repro.service.cache import LRUCache, TTLCache
 
-__all__ = ["RegistryEndpoint", "AsyncRegistryClient", "default_retry_policy"]
-
-_HEX_DIGITS = set("0123456789abcdef")
-
-
-def _is_full_digest(ref: str) -> bool:
-    return len(ref) == 64 and set(ref) <= _HEX_DIGITS
+__all__ = [
+    "RegistryEndpoint",
+    "AsyncRegistryClient",
+    "blocking_facade",
+    "default_retry_policy",
+]
 
 
 def default_retry_policy() -> FaultPolicy:
@@ -67,9 +68,8 @@ class RegistryEndpoint:
 
     The single entry-point currency for every client flavor: sync,
     async, cluster, and ``Session(registry=...)`` all accept one of
-    these (or a URL string, which :meth:`parse` normalizes).  Replaces
-    the keyword sprawl of the old ``RegistryClient(base_url, timeout=…,
-    retry_policy=…)`` signature.
+    these (or a URL string, which :meth:`parse` normalizes); timeouts,
+    retry and cache sizing live here rather than on each client.
 
     ``retry_policy=None`` disables 429 retry entirely (each overload
     response raises immediately); leaving it unset installs
@@ -103,9 +103,6 @@ class RegistryEndpoint:
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def with_(self, **overrides) -> "RegistryEndpoint":
-        return replace(self, **overrides)
 
 
 # -- shared client event loop ------------------------------------------------
@@ -166,6 +163,33 @@ class _LoopRunner:
 LOOP_RUNNER = _LoopRunner()
 
 
+def blocking_facade(async_cls):
+    """Class decorator: give the class a blocking twin of every public
+    coroutine method of ``async_cls`` except ``aclose``, with the same
+    signature and docstring, running ``self._async.<name>(...)`` on
+    :data:`LOOP_RUNNER` — so a blocking client cannot drift from its
+    async client.  Only non-pass-throughs are written by hand."""
+
+    def decorate(cls):
+        for name, method in inspect.getmembers(
+            async_cls, inspect.iscoroutinefunction
+        ):
+            if not name.startswith("_") and name != "aclose":
+                setattr(cls, name, _blocking_twin(cls, name, method))
+        return cls
+
+    return decorate
+
+
+def _blocking_twin(cls, name: str, method):
+    @functools.wraps(method)
+    def twin(self, *args, **kwargs):
+        return LOOP_RUNNER.submit(getattr(self._async, name)(*args, **kwargs))
+
+    twin.__qualname__ = f"{cls.__qualname__}.{name}"
+    return twin
+
+
 class _ConnectionPool:
     """Bounded pool of keep-alive connections to one endpoint.
 
@@ -215,7 +239,42 @@ class _ConnectionPool:
             writer.close()
 
 
-class AsyncRegistryClient:
+class _ClientCompositions:
+    """Operations composed client-side from ``fetch`` and
+    ``preselect_batch``; shared by :class:`AsyncRegistryClient` and
+    :class:`~repro.service.cluster.AsyncClusterClient`, each of which
+    routes those two building blocks its own way."""
+
+    async def platform(self, ref: str) -> Platform:
+        """Fetch and parse a descriptor (digest-keyed parse cache applies)."""
+        record = await self.fetch(ref)
+        return parse_cached(
+            record["xml"], digest=record["digest"], name=record["name"]
+        )
+
+    async def preselect(
+        self,
+        platform_ref: str,
+        source: str,
+        *,
+        expert_variants: bool = False,
+        require_fallback: bool = True,
+    ) -> dict:
+        """Pre-select one program; returns ``{"cached", "report"}``."""
+        results = await self.preselect_batch(
+            platform_ref,
+            [
+                {
+                    "source": source,
+                    "expert_variants": expert_variants,
+                    "require_fallback": require_fallback,
+                }
+            ],
+        )
+        return results[0]
+
+
+class AsyncRegistryClient(_ClientCompositions):
     """Asyncio registry client bound to one :class:`RegistryEndpoint`.
 
     All coroutines must run on one event loop (the loop the first
@@ -391,7 +450,8 @@ class AsyncRegistryClient:
         (method, path, params) share one in-flight upstream request and
         one response object (treat payloads as read-only).  Traced
         callers get a ``registry.client.request`` span whose id travels
-        in ``X-Repro-Trace-Id`` and is echoed by the server.
+        in ``X-Repro-Trace-Id`` and is echoed by the server.  Error
+        responses raise the rehydrated library exception.
         """
         self.stats["requests"] += 1
         if params:
@@ -450,6 +510,13 @@ class AsyncRegistryClient:
         *,
         strict_lint: bool = False,
     ) -> dict:
+        """Publish XML text or an in-memory :class:`Platform` under ``name``.
+
+        With ``strict_lint`` the registry lints the descriptor first and
+        rejects error-severity findings with
+        :class:`~repro.errors.LintError` (the finding payloads ride along
+        on the exception's ``diagnostics``).
+        """
         if isinstance(descriptor, Platform):
             descriptor = write_pdl(descriptor)
         if isinstance(descriptor, str):
@@ -489,7 +556,7 @@ class AsyncRegistryClient:
         network traffic** once seen — immutability makes revalidation
         meaningless.  Tag refs revalidate unless within ``tag_ttl_s``.
         """
-        if self._records is not None and _is_full_digest(ref):
+        if self._records is not None and is_full_digest(ref):
             record = self._records.get(ref)
             if record is not None:
                 self.stats["record_cache_hits"] += 1
@@ -505,20 +572,13 @@ class AsyncRegistryClient:
             # normalize the cached ref to the digest: the cache is
             # digest-keyed, so a later hit must not echo a stale tag
             self._records.put(record["digest"], {**record, "ref": record["digest"]})
-        if not _is_full_digest(ref):
+        if not is_full_digest(ref):
             self._tag_cache.put(ref, record["digest"])
         return record
 
-    async def platform(self, ref: str) -> Platform:
-        """Fetch and parse a descriptor (digest-keyed parse cache applies)."""
-        record = await self.fetch(ref)
-        return parse_cached(
-            record["xml"], digest=record["digest"], name=record["name"]
-        )
-
     async def resolve(self, ref: str) -> str:
         """Tag/prefix → digest (one tiny round trip, TTL-cached)."""
-        if _is_full_digest(ref):
+        if is_full_digest(ref):
             return ref
         cached = self._tag_cache.get(ref)
         if cached is not None:
@@ -553,6 +613,8 @@ class AsyncRegistryClient:
         )
 
     async def lint(self, ref: str) -> dict:
+        """Lint a stored version; returns the ``LintReport`` payload plus
+        the resolved digest (findings never raise — inspect ``ok``)."""
         return await self.request(
             "POST", protocol.route_path("lint"), body=protocol.dumps({"ref": ref})
         )
@@ -564,27 +626,8 @@ class AsyncRegistryClient:
             body=protocol.dumps({"old": old_ref, "new": new_ref}),
         )
 
-    async def preselect(
-        self,
-        platform_ref: str,
-        source: str,
-        *,
-        expert_variants: bool = False,
-        require_fallback: bool = True,
-    ) -> dict:
-        results = await self.preselect_batch(
-            platform_ref,
-            [
-                {
-                    "source": source,
-                    "expert_variants": expert_variants,
-                    "require_fallback": require_fallback,
-                }
-            ],
-        )
-        return results[0]
-
     async def preselect_batch(self, platform_ref: str, programs: list) -> list:
+        """Batched pre-selection: one round trip, one result per program."""
         payload = await self.request(
             "POST",
             protocol.route_path("preselect"),
@@ -602,10 +645,17 @@ class AsyncRegistryClient:
 
     # -- tuning profiles -----------------------------------------------------
     async def profiles(self) -> list:
+        """Summaries of every tuning profile stored on the registry."""
         payload = await self.request("GET", protocol.route_path("profiles_list"))
         return payload["profiles"]
 
     async def publish_profile(self, ref: str, profile) -> dict:
+        """Attach a tuning profile to a stored descriptor version.
+
+        ``profile`` is either a :class:`~repro.tune.database.TuningDatabase`
+        or its wire payload (``TuningDatabase.to_payload()``); it must
+        contain samples for the digest ``ref`` resolves to.
+        """
         if hasattr(profile, "to_payload"):
             profile = profile.to_payload()
         return await self.request(
@@ -615,6 +665,7 @@ class AsyncRegistryClient:
         )
 
     async def fetch_profile(self, ref: str) -> dict:
+        """``{"digest", "profile"}`` — the stored tuning payload of ``ref``."""
         return await self.request(
             "GET", protocol.route_path("profile_get", ref=ref)
         )

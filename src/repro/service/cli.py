@@ -1,16 +1,16 @@
-"""``repro-registry`` command line interface.
+"""``repro registry`` command line interface.
 
 Subcommands::
 
-    repro-registry serve [--host H] [--port P] [--no-seed] [--max-queue N]
-    repro-registry list --url URL
-    repro-registry publish <name> <file.xml> --url URL
-    repro-registry fetch <ref> --url URL [-o out.xml]
-    repro-registry preselect <platform-ref> <program.c> --url URL
-    repro-registry diff <old-ref> <new-ref> --url URL
-    repro-registry metrics --url URL
-    repro-registry cluster serve --shards N --replicas R --map-file F
-    repro-registry cluster status --map-file F
+    repro registry serve [--host H] [--port P] [--no-seed] [--max-queue N]
+    repro registry list --url URL
+    repro registry publish <name> <file.xml> --url URL
+    repro registry fetch <ref> --url URL [-o out.xml]
+    repro registry preselect <platform-ref> <program.c> --url URL
+    repro registry diff <old-ref> <new-ref> --url URL
+    repro registry metrics --url URL
+    repro registry cluster serve --shards N --replicas R --map-file F
+    repro registry cluster status --map-file F
 
 ``serve`` runs the asyncio server in the foreground (seeded with the
 shipped catalog unless ``--no-seed``); every other single-node

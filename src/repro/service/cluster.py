@@ -33,7 +33,7 @@ Topologies
 in-process (each node a full :class:`~repro.service.server.ServerThread`
 with its own store and real HTTP port — the same wire path a
 multi-process deployment uses; nodes can equally be started as separate
-OS processes via ``repro-registry serve``/``cluster serve`` given the
+OS processes via ``repro registry serve``/``cluster serve`` given the
 same map file).
 """
 
@@ -51,6 +51,7 @@ from repro.obs import spans as _obs
 from repro.pdl.catalog import (
     available_platforms,
     content_digest,
+    is_full_digest,
     parse_cached,
     platform_path,
 )
@@ -60,6 +61,8 @@ from repro.service.async_client import (
     LOOP_RUNNER,
     AsyncRegistryClient,
     RegistryEndpoint,
+    _ClientCompositions,
+    blocking_facade,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.ring import HashRing
@@ -73,13 +76,6 @@ __all__ = [
     "AsyncClusterClient",
     "ClusterClient",
 ]
-
-_HEX_DIGITS = set("0123456789abcdef")
-
-
-def _is_full_digest(ref: str) -> bool:
-    return len(ref) == 64 and set(ref) <= _HEX_DIGITS
-
 
 @dataclass(frozen=True)
 class ShardSpec:
@@ -283,7 +279,7 @@ class RegistryCluster:
         self.stop()
 
 
-class AsyncClusterClient:
+class AsyncClusterClient(_ClientCompositions):
     """Placement-aware async client over a :class:`ClusterMap`.
 
     Routes every operation to the owning shard: writes to the shard
@@ -312,9 +308,6 @@ class AsyncClusterClient:
         }
 
     # -- routing helpers -----------------------------------------------------
-    def _client(self, url: str) -> AsyncRegistryClient:
-        return self._clients[url]
-
     def _write_client(self, spec: ShardSpec) -> AsyncRegistryClient:
         return self._clients[spec.primary]
 
@@ -379,7 +372,7 @@ class AsyncClusterClient:
     async def resolve(self, ref: str) -> str:
         """Ref → digest.  Tags resolve on their owning shard; digest
         prefixes (ownerless by construction) fan out to every shard."""
-        if _is_full_digest(ref):
+        if is_full_digest(ref):
             return ref
         try:
             return await self._read(
@@ -425,15 +418,9 @@ class AsyncClusterClient:
         return {
             "ref": ref,
             "digest": record["digest"],
-            "name": record["name"] or (ref if not _is_full_digest(ref) else None),
+            "name": record["name"] or (ref if not is_full_digest(ref) else None),
             "xml": record["xml"],
         }
-
-    async def platform(self, ref: str) -> Platform:
-        record = await self.fetch(ref)
-        return parse_cached(
-            record["xml"], digest=record["digest"], name=record["name"]
-        )
 
     async def delete_tag(self, name: str) -> dict:
         return await self._write_client(self.map.shard_for_tag(name)).delete_tag(
@@ -467,26 +454,6 @@ class AsyncClusterClient:
         return await self._read(
             self.map.shard_for_blob(digest), "lint", digest
         )
-
-    async def preselect(
-        self,
-        platform_ref: str,
-        source: str,
-        *,
-        expert_variants: bool = False,
-        require_fallback: bool = True,
-    ) -> dict:
-        results = await self.preselect_batch(
-            platform_ref,
-            [
-                {
-                    "source": source,
-                    "expert_variants": expert_variants,
-                    "require_fallback": require_fallback,
-                }
-            ],
-        )
-        return results[0]
 
     async def preselect_batch(self, platform_ref: str, programs: list) -> list:
         """Pre-selection runs on the platform's blob owner, so its memo
@@ -552,7 +519,7 @@ class AsyncClusterClient:
         """Fan-out liveness: ``ok`` only when every node answers."""
         urls = [url for spec in self.map.shards for url in spec.nodes]
         results = await asyncio.gather(
-            *(self._client(url).health() for url in urls),
+            *(self._clients[url].health() for url in urls),
             return_exceptions=True,
         )
         nodes = []
@@ -582,7 +549,7 @@ class AsyncClusterClient:
             for url in spec.nodes
         ]
         snapshots = await asyncio.gather(
-            *(self._client(url).metrics() for _, _, url in entries)
+            *(self._clients[url].metrics() for _, _, url in entries)
         )
         per_node = [
             {"shard": shard_id, "role": role, "url": url, "metrics": snap}
@@ -665,9 +632,10 @@ class AsyncClusterClient:
         )
 
 
+@blocking_facade(AsyncClusterClient)
 class ClusterClient:
-    """Blocking facade over :class:`AsyncClusterClient` (same shared
-    background loop as :class:`~repro.service.client.RegistryClient`)."""
+    """Blocking facade generated from :class:`AsyncClusterClient` (same
+    shared background loop as :class:`~repro.service.client.RegistryClient`)."""
 
     def __init__(
         self,
@@ -682,73 +650,11 @@ class ClusterClient:
         )
         self.map = self._async.map
 
-    def _call(self, coro):
-        return LOOP_RUNNER.submit(coro)
-
-    def publish(self, name, descriptor, *, strict_lint: bool = False) -> dict:
-        return self._call(
-            self._async.publish(name, descriptor, strict_lint=strict_lint)
-        )
-
-    def fetch(self, ref: str) -> dict:
-        return self._call(self._async.fetch(ref))
-
-    def platform(self, ref: str) -> Platform:
-        return self._call(self._async.platform(ref))
-
-    def resolve(self, ref: str) -> str:
-        return self._call(self._async.resolve(ref))
-
-    def delete_tag(self, name: str) -> dict:
-        return self._call(self._async.delete_tag(name))
-
-    def retag(self, name: str, ref: str) -> dict:
-        return self._call(self._async.retag(name, ref))
-
-    def platforms(self) -> list:
-        return self._call(self._async.platforms())
-
-    def query(self, ref: str, selector: Optional[str] = None) -> dict:
-        return self._call(self._async.query(ref, selector))
-
-    def lint(self, ref: str) -> dict:
-        return self._call(self._async.lint(ref))
-
-    def preselect(self, platform_ref: str, source: str, **kwargs) -> dict:
-        return self._call(self._async.preselect(platform_ref, source, **kwargs))
-
-    def preselect_batch(self, platform_ref: str, programs: list) -> list:
-        return self._call(self._async.preselect_batch(platform_ref, programs))
-
-    def diff(self, old_ref: str, new_ref: str) -> dict:
-        return self._call(self._async.diff(old_ref, new_ref))
-
-    def publish_profile(self, ref: str, profile) -> dict:
-        return self._call(self._async.publish_profile(ref, profile))
-
-    def fetch_profile(self, ref: str) -> dict:
-        return self._call(self._async.fetch_profile(ref))
-
-    def profiles(self) -> list:
-        return self._call(self._async.profiles())
-
-    def health(self) -> dict:
-        return self._call(self._async.health())
-
-    def metrics(self) -> dict:
-        return self._call(self._async.metrics())
-
-    def status(self) -> dict:
-        return self._call(self._async.status())
-
-    def wait_converged(self, *, timeout_s: float = 10.0) -> dict:
-        return self._call(self._async.wait_converged(timeout_s=timeout_s))
-
     def cache_stats(self) -> dict:
         return self._async.cache_stats()
 
     def close(self) -> None:
-        self._call(self._async.aclose())
+        LOOP_RUNNER.submit(self._async.aclose())
 
     def __repr__(self) -> str:
         return f"ClusterClient(shards={len(self.map)})"

@@ -20,8 +20,10 @@ Version negotiation happens on first contact: the server answers with
 its own version on every response and rejects requests advertising a
 version it cannot speak with a clear ``protocol-mismatch`` error
 (:class:`~repro.errors.ProtocolMismatchError` client-side) instead of a
-confusing payload error.  A request without the header is treated as
-legacy version 1, which the current server still accepts.
+confusing payload error.  A request without the header negotiates
+version 1 and is served: plain HTTP probes (``curl …/healthz``, load
+balancer checks) send no custom headers, and no v1-specific code path
+exists, so rejecting them would break probes and remove nothing.
 
 Route table
 -----------

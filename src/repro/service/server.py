@@ -82,9 +82,6 @@ _MAX_HEADERS = 100
 
 _SERVER_NAME = "repro-registry/1.0"
 
-# backwards-compatible alias: the policy now lives in repro.service.admission
-_default_overload_policy = default_overload_policy
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -96,7 +93,7 @@ class ServiceConfig:
     executor_threads: int = 4
     max_body_bytes: int = 8 * 1024 * 1024
     idle_timeout_s: float = 30.0
-    overload_policy: FaultPolicy = field(default_factory=_default_overload_policy)
+    overload_policy: FaultPolicy = field(default_factory=default_overload_policy)
     #: base URL of the primary this node replicates; None = primary
     replica_of: Optional[str] = None
     #: oplog poll period of a replica (bounds tag staleness)

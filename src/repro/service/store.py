@@ -52,6 +52,7 @@ from repro.model.platform import Platform
 from repro.pdl.catalog import (
     available_platforms,
     content_digest,
+    is_full_digest,
     parse_cached,
     platform_path,
 )
@@ -68,13 +69,6 @@ __all__ = ["PublishResult", "DescriptorStore"]
 
 #: minimum length of a digest prefix accepted by :meth:`DescriptorStore.resolve`
 _MIN_PREFIX = 8
-
-_HEX_DIGITS = set("0123456789abcdef")
-
-
-def _is_full_digest(ref: str) -> bool:
-    return len(ref) == 64 and set(ref) <= _HEX_DIGITS
-
 
 @dataclass(frozen=True)
 class PublishResult:
@@ -238,7 +232,7 @@ class DescriptorStore:
         directory state and the cluster client fetches the blob from its
         ring owner.
         """
-        if self.tag_directory and _is_full_digest(ref):
+        if self.tag_directory and is_full_digest(ref):
             digest = ref
         else:
             digest = self.resolve(ref)

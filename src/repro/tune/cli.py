@@ -1,18 +1,18 @@
-"""``repro-tune`` command line interface.
+"""``repro tune`` command line interface.
 
 Subcommands::
 
-    repro-tune calibrate <platform> --db tuning.json [--kernels k1,k2]
+    repro tune calibrate <platform> --db tuning.json [--kernels k1,k2]
                [--sizes 128,256,...] [--repeats N] [--noise F] [--seed N]
-    repro-tune show --db tuning.json [--platform REF]
-    repro-tune fill <platform> --db tuning.json [-o tuned.xml]
+    repro tune show --db tuning.json [--platform REF]
+    repro tune fill <platform> --db tuning.json [-o tuned.xml]
                [--digest D] [--no-add-missing]
-    repro-tune export <REF> --db tuning.json --url URL
+    repro tune export <REF> --db tuning.json --url URL
 
 ``<platform>`` is a shipped catalog name or a PDL XML file path.  ``REF``
 selects a profile inside the database: a digest, a digest prefix, or a
 platform name.  ``export`` publishes the profile to a running registry
-service (``repro-registry serve``) so other toolchain installations can
+service (``repro registry serve``) so other toolchain installations can
 fetch it by platform digest.
 """
 

@@ -129,3 +129,24 @@ class TestParseCache:
             load_platform(name)
         info = parse_cache_info()
         assert info.size <= info.limit
+
+
+_DIGEST = "0123456789abcdef" * 4
+
+
+@pytest.mark.parametrize(
+    "ref, expected",
+    [
+        (_DIGEST, True),
+        (_DIGEST[:63], False),
+        (_DIGEST + "0", False),
+        (_DIGEST.upper(), False),
+        (_DIGEST[:63] + "g", False),
+    ],
+    ids=["64-lower-hex", "63-chars", "65-chars", "upper-hex", "non-hex"],
+)
+def test_is_full_digest(ref, expected):
+    from repro.pdl.catalog import content_digest, is_full_digest
+
+    assert is_full_digest(ref) is expected
+    assert is_full_digest(content_digest("abc"))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.obs import digest
+from repro.obs.digest import fingerprint_payload
 from repro.runtime.trace import FaultTrace, TaskTrace, TraceLog, TransferTrace
 
 
@@ -95,6 +97,24 @@ class TestPayloadStability:
         for i in range(1, 3):  # same surviving window, no evictions
             partial.record_task(_task(i))
         assert full.fingerprint() != partial.fingerprint()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("counts", [(0, 0, 0), (1, 0, 0), (7, 5, 0), (9, 9, 9)])
+    def test_streamed_fingerprint_hashes_the_one_shot_payload(
+        self, monkeypatch, chunk, counts
+    ):
+        # fingerprint() hashes the records a chunk at a time; the bytes
+        # must be those of the whole payload, evictions included
+        monkeypatch.setattr(digest, "_RECORD_CHUNK", chunk)
+        log = TraceLog(max_events=6)
+        tasks, transfers, faults = counts
+        for i in range(tasks):
+            log.record_task(_task(i))
+        for i in range(transfers):
+            log.record_transfer(_transfer(i))
+        for i in range(faults):
+            log.record_fault(_fault(i))
+        assert log.fingerprint() == fingerprint_payload(log.to_payload())
 
     def test_aggregates_use_surviving_window(self):
         log = TraceLog(max_events=2)

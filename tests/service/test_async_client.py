@@ -1,5 +1,5 @@
 """Async client behaviour: endpoints, coalescing, immutable caching,
-protocol negotiation, and the deprecated-signature shim."""
+and protocol negotiation."""
 
 import asyncio
 import http.client
@@ -14,7 +14,6 @@ from repro.service import (
     RegistryEndpoint,
     ServerThread,
 )
-from repro.service.async_client import default_retry_policy
 
 
 @pytest.fixture(scope="module")
@@ -50,34 +49,6 @@ class TestRegistryEndpoint:
     def test_default_retry_policy_installed(self):
         assert RegistryEndpoint().retry_policy.max_retries == 3
         assert RegistryEndpoint(retry_policy=None).retry_policy is None
-
-
-class TestDeprecatedShim:
-    """The old keyword signature must keep working, warn, and forward
-    faithfully onto the endpoint."""
-
-    def test_timeout_kwarg_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="timeout"):
-            client = RegistryClient("http://127.0.0.1:9", timeout=0.25)
-        assert client.endpoint.timeout == 0.25
-        assert client.timeout == 0.25
-
-    def test_retry_policy_kwarg_warns_and_forwards(self):
-        policy = default_retry_policy()
-        with pytest.warns(DeprecationWarning, match="retry_policy"):
-            client = RegistryClient("http://127.0.0.1:9", retry_policy=policy)
-        assert client.retry_policy is policy
-
-    def test_retry_policy_none_disables(self):
-        with pytest.warns(DeprecationWarning):
-            client = RegistryClient("http://127.0.0.1:9", retry_policy=None)
-        assert client.retry_policy is None
-
-    def test_new_style_does_not_warn(self, recwarn):
-        RegistryClient(RegistryEndpoint(host="127.0.0.1", port=9))
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestCoalescing:

@@ -23,7 +23,9 @@ def service():
 
 
 def _raw_get(client: RegistryClient, path: str, headers: dict):
-    conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+    conn = http.client.HTTPConnection(
+        client.endpoint.host, client.endpoint.port, timeout=10
+    )
     try:
         conn.request("GET", path, headers=headers)
         response = conn.getresponse()
