@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="repro lint",
         description=(
             "static analysis for PDL descriptors and Cascabel programs"
         ),

@@ -46,7 +46,7 @@ def _load_program(spec: str):
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cascabel",
+        prog="repro cascabel",
         description="PDL-parametrized source-to-source compiler for"
         " annotated task-based C/C++ programs",
     )

@@ -161,12 +161,6 @@ def scan_pragmas(source: str, *, prefix: str = "cascabel") -> list[PragmaDirecti
     return directives
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
 def extract_function(source: str, after_line: int) -> FunctionDef:
     """The first function definition at or after ``after_line`` (1-based).
 

@@ -77,10 +77,6 @@ def _bucket_index(value: float) -> int:
     return min(max(index, 0), _BUCKET_MAX_INDEX)
 
 
-def _bucket_upper(index: int) -> float:
-    return _BUCKET_MIN * (2.0 ** index)
-
-
 def _bucket_mid(index: int) -> float:
     """Representative value of a bucket (geometric midpoint)."""
     if index <= 0:

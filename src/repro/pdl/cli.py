@@ -32,7 +32,7 @@ def _load(spec: str, *, validate: bool = True):
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="pdl-tool", description="Platform Description Language utilities"
+        prog="repro pdl", description="Platform Description Language utilities"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -192,12 +192,6 @@ class TransferModel:
             self._ideal_cache[key] = t
         return t
 
-    def bulk_ideal_times(
-        self, requests: "list[tuple[str, str, float]]"
-    ) -> list[float]:
-        """Resolve many ``(src, dst, nbytes)`` ideal times in one call."""
-        return [self.ideal_time_cached(s, d, n) for s, d, n in requests]
-
     # -- stateful scheduling ----------------------------------------------------
     def schedule(
         self, src: str, dst: str, nbytes: float, now: float

@@ -218,12 +218,6 @@ class CoherenceDirectory:
             return None
         return TransferNeed(handle, src, node)
 
-    def bulk_required_transfers(
-        self, accesses, node: int
-    ) -> list[Optional[TransferNeed]]:
-        """Resolve the needs of many ``(handle, mode)`` pairs on ``node``."""
-        return [self.required_transfer_cached(h, node, m) for h, m in accesses]
-
     # -- state transitions --------------------------------------------------------
     def note_transfer(self, need: TransferNeed) -> None:
         """Record that ``need`` was carried out: dst joins the sharers."""

@@ -114,12 +114,6 @@ def _availability(pu: ProcessingUnit) -> "tuple[bool, Optional[Diagnostic]]":
         )
 
 
-def _is_available(pu: ProcessingUnit) -> bool:
-    """Boolean-only view of :func:`_availability` (diagnostic dropped)."""
-    ok, _ = _availability(pu)
-    return ok
-
-
 class _EngineCostModel:
     """CostModel protocol implementation backed by the engine's state."""
 
@@ -380,6 +374,481 @@ class _VectorCostModel:
                     access.handle.nbytes,
                 )
         return total
+
+
+class _SimLoop:
+    """The discrete-event core every simulated run goes through.
+
+    One loop object drives one run over an engine's worker lanes: worker
+    ticks, idle wake-ups, task start and finish, trace records, lane
+    offline/online moves and fault recovery.  Work enters through
+    :meth:`admit` (a ready task at sim time ``now``); lanes leave and
+    rejoin through :meth:`lane_offline` / :meth:`lane_online`.
+
+    Two steps are what a front end overrides:
+
+    :meth:`_stage`
+        claim a task for its lane at dispatch and stage its operands;
+        returns when they are ready.  Batch runs stage through coherence,
+        capacity and prefetch here.
+    :meth:`_complete`
+        what a finished task sets off.  Batch runs release dependents.
+
+    The base class is :meth:`RuntimeEngine.run`'s loop;
+    :class:`~repro.serve.engine.ServeEngine` subclasses it for open-loop
+    request streams.  Tasks need ``id``/``tag``/``kernel``, a cost
+    signature (``cost_sig``) for memoized truth durations, and the fault
+    fields ``incarnation``/``fault_armed``.
+    """
+
+    def __init__(
+        self,
+        engine: "RuntimeEngine",
+        trace: TraceLog,
+        policy: Optional[FaultPolicy] = None,
+    ):
+        self.engine = engine
+        self.scheduler = engine.scheduler
+        self.clock = EventQueue()
+        self.trace = trace
+        self.policy = policy if policy is not None else FaultPolicy()
+        #: the engine's offline lane ids (the cost models' ``supports``
+        #: reads the same set, so offline lanes get no placements)
+        self.offline = engine._offline
+        #: lane instance id → the task executing there
+        self.running: dict[str, RuntimeTask] = {}
+        self.stats = {
+            "task_failures": 0,
+            "retries": 0,
+            "requeues": 0,
+            "worker_failures": 0,
+        }
+        #: lanes whose last tick found no work, in the order they idled
+        self._idle: dict[str, WorkerContext] = {}
+        self._overhead = engine.task_overhead_s
+        vec = engine._vec_cost
+        self._duration = (
+            vec.truth_duration if vec is not None else engine.exec_estimate
+        )
+        engine.transfer_model.reset()
+        engine.coherence.reset()
+        for worker in engine.workers:
+            worker.reset()
+        if engine.model_capacity:
+            node_capacity: dict[int, Optional[float]] = {0: None}
+            for node, anchor_id in engine.node_anchor.items():
+                if node == 0:
+                    continue
+                anchor = engine.platform.pu(anchor_id)
+                sizes = [
+                    r.size_bytes
+                    for r in anchor.memory_regions
+                    if r.size_bytes is not None
+                ]
+                node_capacity[node] = sum(sizes) if sizes else None
+            engine.capacity = MemoryCapacityManager(engine.coherence, node_capacity)
+        self._capacity = engine.capacity
+
+        # -- batch state (the default seams) -----------------------------
+        self.pending = sum(1 for t in engine._tasks if t.state != TaskState.DONE)
+        #: handles some task wrote, for the gather back to host memory
+        self.written: dict[int, DataHandle] = {}
+        self._worker_by_id = {w.instance_id: w for w in engine.workers}
+        self._worker_pos = {w.instance_id: i for i, w in enumerate(engine.workers)}
+        self._table = engine.task_table
+        # vectorized mode routes per-task resolution through the memoized
+        # lanes (identical results); scalar mode keeps the reference
+        # implementations so the two paths stay independently checkable
+        self._required_transfer = (
+            engine.coherence.required_transfer_cached
+            if vec is not None
+            else engine.coherence.required_transfer
+        )
+        #: task id → (memory node prefetch targeted, initiation time);
+        #: commits are deferred until the task actually starts there
+        self._prefetched: dict[int, tuple[int, float]] = {}
+
+    # -- entry points ------------------------------------------------------
+    def admit(self, task, now: float) -> None:
+        """Put a ready task in at sim time ``now`` and wake idle lanes."""
+        self.scheduler.task_ready(task, now)
+        self.wake_idle()
+
+    def lane_online(self, worker: WorkerContext) -> None:
+        """Bring an offline lane back (a lane that died stays dead)."""
+        iid = worker.instance_id
+        if iid in self.offline and not worker.retired:
+            self.offline.discard(iid)
+            self._idle.pop(iid, None)
+            self.clock.schedule_call_in(0.0, self._tick, worker)
+
+    def lane_offline(
+        self, worker: WorkerContext, detail: str, *, fault: Optional[str] = None
+    ) -> int:
+        """Take a lane offline; returns how many queued tasks it requeued.
+
+        The lane finishes its in-flight task but gets no new work; its
+        queued tasks go back to the scheduler, each recorded as a
+        ``requeue`` fault carrying ``detail``.  ``fault`` (the cause of
+        an abrupt death) also retires the lane for good and loses its
+        in-flight task, which is requeued first.  Waking the idle lanes
+        is left to the caller.
+        """
+        iid = worker.instance_id
+        if iid in self.offline:
+            return 0
+        # offline first, so no requeued task is placed back on the lane
+        self.offline.add(iid)
+        self._idle.pop(iid, None)
+        now = self.clock.now
+        if fault is not None:
+            worker.retired = True
+            self.stats["worker_failures"] += 1
+            self._record_fault("worker-fault", "", iid, fault)
+            self._abort_inflight(worker, now, fault)
+        drained = self.scheduler.drain(worker)
+        for task in drained:
+            self.stats["requeues"] += 1
+            self._record_fault("requeue", task.tag, iid, detail)
+            self.scheduler.task_ready(task, now)
+        return len(drained)
+
+    def wake_idle(self) -> None:
+        """Re-tick every lane whose last tick found no work."""
+        idle = self._idle
+        if idle:
+            for worker in idle.values():
+                self.clock.schedule_call_in(0.0, self._tick, worker)
+            idle.clear()
+
+    # -- the core ----------------------------------------------------------
+    def _tick(self, worker: WorkerContext) -> None:
+        now = self.clock.now
+        if worker.instance_id in self.offline:
+            return  # offline lanes take no new work
+        if now < worker.busy_until - 1e-15:
+            return  # still executing; its completion event will re-tick
+        task = self.scheduler.next_task(worker, now)
+        if task is None:
+            self._idle[worker.instance_id] = worker
+            return
+        self._start(task, worker, now)
+
+    def _start(self, task, worker: WorkerContext, now: float) -> None:
+        if task.fault_armed:
+            # an injected TaskFault armed before the task started:
+            # this attempt fails immediately; the retry policy decides
+            task.fault_armed = False
+            self._fail_attempt(task, now, worker.instance_id, "injected task fault")
+            self.clock.schedule_call_in(0.0, self._tick, worker)
+            return
+        data_ready = self._stage(task, worker, now)
+        start = data_ready + self._overhead
+        end = start + self._duration(task, worker)
+        worker.busy_until = end
+        worker.is_idle = False
+        iid = worker.instance_id
+        task.worker_id = iid
+        task.start_time = start
+        task.end_time = end
+        self.running[iid] = task
+        # single-tuple argument: scheduled through the clock's
+        # closure-free lane (no per-completion lambda allocation)
+        self.clock.schedule_call(
+            end, self._finish, (task, worker, data_ready - now, task.incarnation)
+        )
+
+    def _finish(self, item: tuple) -> None:
+        task, worker, transfer_wait, incarnation = item
+        if task.incarnation != incarnation:
+            return  # attempt aborted by a fault event; stale completion
+        iid = worker.instance_id
+        running = self.running
+        if running.get(iid) is task:
+            del running[iid]
+        worker.busy_time += task.end_time - task.start_time
+        worker.tasks_executed += 1
+        record = TaskTrace(
+            task_id=task.id,
+            tag=task.tag,
+            kernel=task.kernel,
+            worker_id=iid,
+            architecture=worker.architecture,
+            start=task.start_time,
+            end=self.clock.now,
+            transfer_wait=transfer_wait,
+        )
+        self.trace.record_task(record)
+        self._complete(task, worker, record)
+        self._tick(worker)
+
+    # -- seams (batch implementations) -------------------------------------
+    def _stage(self, task: RuntimeTask, worker: WorkerContext, now: float) -> float:
+        """Claim ``task`` for ``worker`` and stage its operands; returns
+        when they are ready (never before ``now``)."""
+        task.state = TaskState.RUNNING
+        table = self._table
+        table.state[task.table_index] = 2  # RUNNING
+        table.worker[task.table_index] = self._worker_pos[worker.instance_id]
+        node = worker.memory_node
+        capacity = self._capacity
+        # pin the task's working set first so staging one operand can
+        # never evict another operand of the same task
+        if capacity is not None:
+            for access in task.accesses:
+                capacity.pin(access.handle, node)
+        # a prefetch noted for this worker's node is committed here,
+        # back-dated to its initiation time, so the transfers overlap the
+        # previous task's compute — and a task that was drained or stolen
+        # after the peek never charges transfers or link occupancy it did
+        # not use
+        staged = self._prefetched.pop(task.id, None)
+        stage_at = now
+        if staged is not None and staged[0] == node:
+            stage_at = staged[1]
+        data_ready = max(now, self._stage_operands(task, worker, stage_at))
+        start = data_ready + self._overhead
+
+        # coherence transition at start (write ownership is claimed
+        # when the kernel begins mutating the buffer)
+        note_access = self.engine.coherence.note_access
+        written = self.written
+        for access in task.accesses:
+            note_access(access.handle, node, access.mode)
+            if access.mode.writes:
+                written[access.handle.id] = access.handle
+                if capacity is not None:
+                    capacity.note_invalidated(access.handle, node)
+                    capacity.note_resident(access.handle, node, start)
+
+        # data prefetch: note the *next* queued task's operands for
+        # staging while this one computes (StarPU's dmda-prefetch
+        # behaviour); the commit is deferred to its own start
+        if self.engine.prefetch:
+            upcoming = self.scheduler.peek(worker)
+            if upcoming is not None and upcoming.id not in self._prefetched:
+                self._prefetched[upcoming.id] = (node, now)
+        return data_ready
+
+    def _complete(self, task: RuntimeTask, worker: WorkerContext, record: TaskTrace) -> None:
+        """Mark ``task`` done and release the dependents it unblocks."""
+        engine = self.engine
+        now = record.end
+        # the payload runs at completion, not dispatch, so an aborted
+        # attempt never half-applies a non-idempotent kernel
+        if engine.execute_kernels:
+            engine._execute_payload(task, worker)
+        task.state = TaskState.DONE
+        table = self._table
+        table.state[task.table_index] = 3  # DONE
+        self.pending -= 1
+        capacity = self._capacity
+        if capacity is not None:
+            for access in task.accesses:
+                capacity.unpin(access.handle, worker.memory_node)
+                capacity.touch(access.handle, worker.memory_node, now)
+        newly_ready = [dep for dep in task.dependents if dep.notify_producer_done()]
+        if newly_ready:
+            for dep in newly_ready:
+                dep.state = TaskState.READY
+                table.mark_ready(dep.table_index, now)
+                self.scheduler.task_ready(dep, now)
+            self.wake_idle()
+
+    # -- batch staging -----------------------------------------------------
+    def _charge_writeback(self, need: TransferNeed, when: float) -> float:
+        engine = self.engine
+        est = engine.transfer_model.schedule(
+            engine.node_anchor[need.src_node],
+            engine.node_anchor[need.dst_node],
+            need.nbytes,
+            when,
+        )
+        self.trace.record_transfer(
+            TransferTrace(
+                handle_name=need.handle.name,
+                nbytes=need.nbytes,
+                src_node=need.src_node,
+                dst_node=need.dst_node,
+                start=est.start,
+                end=est.finish,
+            )
+        )
+        return est.finish
+
+    def _stage_operands(
+        self, task: RuntimeTask, worker: WorkerContext, now: float
+    ) -> float:
+        """Schedule missing-operand transfers; returns their finish time."""
+        engine = self.engine
+        capacity = self._capacity
+        node = worker.memory_node
+        data_ready = now
+        for access in task.accesses:
+            need = self._required_transfer(access.handle, node, access.mode)
+            if need is None:
+                # already resident (or write-only): room still needed
+                # for write-only claims under capacity modeling
+                if capacity is not None:
+                    if engine.coherence.is_valid_on(access.handle, node):
+                        capacity.touch(access.handle, node, now)
+                    elif access.mode.writes:
+                        ready = capacity.make_room(
+                            node, access.handle.nbytes, now,
+                            writeback=self._charge_writeback,
+                        )
+                        capacity.note_resident(access.handle, node, ready)
+                        data_ready = max(data_ready, ready)
+                continue
+            start_at = now
+            if capacity is not None:
+                start_at = capacity.make_room(
+                    node, need.nbytes, now, writeback=self._charge_writeback
+                )
+            est = engine.transfer_model.schedule(
+                engine.node_anchor[need.src_node],
+                worker.entity_id,
+                need.nbytes,
+                start_at,
+            )
+            engine.coherence.note_transfer(need)
+            if capacity is not None:
+                capacity.note_resident(access.handle, node, est.finish)
+            self.trace.record_transfer(
+                TransferTrace(
+                    handle_name=need.handle.name,
+                    nbytes=need.nbytes,
+                    src_node=need.src_node,
+                    dst_node=node,
+                    start=est.start,
+                    end=est.finish,
+                )
+            )
+            data_ready = max(data_ready, est.finish)
+        return data_ready
+
+    # -- faults and dynamic events -----------------------------------------
+    def _record_fault(self, kind: str, task_tag: str, worker_id: str, detail: str) -> None:
+        self.trace.record_fault(
+            FaultTrace(kind, self.clock.now, task_tag, worker_id, detail)
+        )
+
+    def _release_pins(self, task: RuntimeTask, worker: WorkerContext) -> None:
+        if self._capacity is not None:
+            for access in task.accesses:
+                self._capacity.unpin(access.handle, worker.memory_node)
+
+    def _fail_attempt(
+        self, task: RuntimeTask, now: float, worker_id: str, detail: str
+    ) -> None:
+        """One execution attempt failed; retry with backoff or give up."""
+        task.incarnation += 1
+        task.attempt += 1
+        task.last_error = detail
+        self.stats["task_failures"] += 1
+        self._record_fault("task-fault", task.tag, worker_id or "", detail)
+        table = self._table
+        if task.state is TaskState.RUNNING:
+            worker = self._worker_by_id[task.worker_id]
+            if self.running.get(worker.instance_id) is task:
+                del self.running[worker.instance_id]
+            self._release_pins(task, worker)
+            worker.busy_until = now
+            self.clock.schedule_call_in(0.0, self._tick, worker)
+        task.worker_id = None
+        task.start_time = task.end_time = None
+        table.worker[task.table_index] = -1
+        if task.attempt > self.policy.max_retries:
+            task.state = TaskState.FAILED
+            table.state[task.table_index] = 4  # FAILED
+            raise TaskFailureError(
+                f"task {task.tag!r} failed permanently after"
+                f" {task.attempt} attempt(s); last error: {detail}",
+                task_tag=task.tag,
+                attempts=task.attempt,
+            )
+        task.state = TaskState.READY
+        table.state[task.table_index] = 1  # READY
+        self.stats["retries"] += 1
+        delay = self.policy.backoff(task.attempt)
+        self._record_fault(
+            "retry", task.tag, worker_id or "",
+            f"attempt {task.attempt + 1} after {delay:.4g}s backoff",
+        )
+        self.clock.schedule_call_in(delay, self._resubmit, task)
+
+    def _resubmit(self, task: RuntimeTask) -> None:
+        self.admit(task, self.clock.now)
+
+    def _abort_inflight(self, worker: WorkerContext, now: float, reason: str) -> None:
+        """Requeue the task executing on a faulted lane (work lost)."""
+        task = self.running.pop(worker.instance_id, None)
+        if task is not None:
+            task.incarnation += 1  # the scheduled finish is void
+            self._release_pins(task, worker)
+            task.worker_id = None
+            task.start_time = task.end_time = None
+            task.state = TaskState.READY
+            self._table.state[task.table_index] = 1  # READY
+            self._table.worker[task.table_index] = -1
+            self.stats["requeues"] += 1
+            self._record_fault("requeue", task.tag, worker.instance_id, reason)
+            self.scheduler.task_ready(task, now)
+        worker.busy_until = now
+
+    def _on_dynamic_event(self, event) -> None:
+        # lazy: repro.dynamic's package __init__ imports this module
+        from repro.dynamic.events import TaskFault, WorkerFault
+
+        engine = self.engine
+        now = self.clock.now
+        event.apply(engine.platform)
+        if isinstance(event, TaskFault):
+            target = next(
+                (t for t in engine._tasks if t.tag == event.task_tag), None
+            )
+            if target is None:
+                raise RuntimeEngineError(
+                    f"TaskFault: no submitted task with tag"
+                    f" {event.task_tag!r}"
+                )
+            if target.state in (TaskState.DONE, TaskState.FAILED):
+                return  # completed before the fault landed
+            if target.state is TaskState.RUNNING:
+                self._fail_attempt(target, now, target.worker_id, event.describe())
+            else:
+                target.fault_armed = True
+            self.wake_idle()
+            return
+        # descriptor properties feed the cost models; drop stale rates
+        engine.perf.invalidate()
+        if engine.sched_perf is not engine.perf:
+            engine.sched_perf.invalidate()
+        if engine._vec_cost is not None:
+            # memoized execution rows are derived from the (now
+            # stale) model caches; rebuild on next score
+            engine._vec_cost.invalidate_exec()
+        if event.affects_interconnect:
+            engine.transfer_model.invalidate_routes()
+        for worker in engine.workers:
+            if worker.entity_id != event.pu_id:
+                continue
+            available, diag = _availability(worker.pu)
+            if diag is not None:
+                engine.diagnostics.append(diag)
+            if available:
+                self.lane_online(worker)
+            else:
+                # abrupt death: in-flight work is lost and requeued; the
+                # lane never comes back
+                self.lane_offline(
+                    worker,
+                    "queued work drained off offline lane",
+                    fault=(
+                        event.describe() if isinstance(event, WorkerFault) else None
+                    ),
+                )
+        self.wake_idle()
 
 
 class RuntimeEngine:
@@ -684,422 +1153,39 @@ class RuntimeEngine:
         ``fault_policy`` configures retry/backoff for injected task
         faults (defaults to :class:`~repro.runtime.faults.FaultPolicy`).
         """
-        # lazy: repro.dynamic's package __init__ imports this module
-        from repro.dynamic.events import TaskFault, WorkerFault
-
         if self._ran:
             raise RuntimeEngineError("engine already ran")
         self._ran = True
-        policy = fault_policy if fault_policy is not None else FaultPolicy()
-        fault_stats = {
-            "task_failures": 0,
-            "retries": 0,
-            "requeues": 0,
-            "worker_failures": 0,
-        }
         wall_start = _time.perf_counter()
-
-        clock = EventQueue()
-        trace = TraceLog()
-        self.transfer_model.reset()
-        self.coherence.reset()
-        for worker in self.workers:
-            worker.reset()
-
-        if self.model_capacity:
-            node_capacity: dict[int, Optional[float]] = {0: None}
-            for node, anchor_id in self.node_anchor.items():
-                if node == 0:
-                    continue
-                anchor = self.platform.pu(anchor_id)
-                sizes = [
-                    r.size_bytes
-                    for r in anchor.memory_regions
-                    if r.size_bytes is not None
-                ]
-                node_capacity[node] = sum(sizes) if sizes else None
-            self.capacity = MemoryCapacityManager(self.coherence, node_capacity)
-
-        def charge_writeback(need: TransferNeed, when: float) -> float:
-            est = self.transfer_model.schedule(
-                self.node_anchor[need.src_node],
-                self.node_anchor[need.dst_node],
-                need.nbytes,
-                when,
-            )
-            trace.record_transfer(
-                TransferTrace(
-                    handle_name=need.handle.name,
-                    nbytes=need.nbytes,
-                    src_node=need.src_node,
-                    dst_node=need.dst_node,
-                    start=est.start,
-                    end=est.finish,
-                )
-            )
-            return est.finish
-
-        pending = sum(1 for t in self._tasks if t.state != TaskState.DONE)
-        written_handles: dict[int, DataHandle] = {}
-        idle: dict[str, WorkerContext] = {}
-        worker_by_id = {w.instance_id: w for w in self.workers}
-        worker_pos = {w.instance_id: i for i, w in enumerate(self.workers)}
-        table = self.task_table
-        # vectorized mode routes per-task resolution through the memoized
-        # lanes (identical results); scalar mode keeps the reference
-        # implementations so the two paths stay independently checkable
-        vec = self._vec_cost
-        required_transfer = (
-            self.coherence.required_transfer_cached
-            if vec is not None
-            else self.coherence.required_transfer
-        )
-        #: task id → (memory node prefetch targeted, initiation time);
-        #: commits are deferred until the task actually starts there
-        prefetched_until: dict[int, tuple[int, float]] = {}
-
-        def wake_idle() -> None:
-            for worker in list(idle.values()):
-                del idle[worker.instance_id]
-                clock.schedule_call_in(0.0, worker_tick, worker)
-
-        def worker_tick(worker: WorkerContext) -> None:
-            now = clock.now
-            if worker.instance_id in self._offline:
-                return  # taken down by a dynamic event; no new work
-            if now < worker.busy_until - 1e-15:
-                return  # still executing; its completion event will re-tick
-            task = self.scheduler.next_task(worker, now)
-            if task is None:
-                idle[worker.instance_id] = worker
-                return
-            start_task(task, worker, now)
-
-        def stage_operands(
-            task: RuntimeTask, worker: WorkerContext, now: float
-        ) -> float:
-            """Schedule missing-operand transfers; returns their finish time."""
-            node = worker.memory_node
-            data_ready = now
-            for access in task.accesses:
-                need = required_transfer(access.handle, node, access.mode)
-                if need is None:
-                    # already resident (or write-only): room still needed
-                    # for write-only claims under capacity modeling
-                    if self.capacity is not None:
-                        if self.coherence.is_valid_on(access.handle, node):
-                            self.capacity.touch(access.handle, node, now)
-                        elif access.mode.writes:
-                            ready = self.capacity.make_room(
-                                node, access.handle.nbytes, now,
-                                writeback=charge_writeback,
-                            )
-                            self.capacity.note_resident(
-                                access.handle, node, ready
-                            )
-                            data_ready = max(data_ready, ready)
-                    continue
-                start_at = now
-                if self.capacity is not None:
-                    start_at = self.capacity.make_room(
-                        node, need.nbytes, now, writeback=charge_writeback
-                    )
-                est = self.transfer_model.schedule(
-                    self.node_anchor[need.src_node],
-                    worker.entity_id,
-                    need.nbytes,
-                    start_at,
-                )
-                self.coherence.note_transfer(need)
-                if self.capacity is not None:
-                    self.capacity.note_resident(access.handle, node, est.finish)
-                trace.record_transfer(
-                    TransferTrace(
-                        handle_name=need.handle.name,
-                        nbytes=need.nbytes,
-                        src_node=need.src_node,
-                        dst_node=node,
-                        start=est.start,
-                        end=est.finish,
-                    )
-                )
-                data_ready = max(data_ready, est.finish)
-            return data_ready
-
-        def start_task(task: RuntimeTask, worker: WorkerContext, now: float) -> None:
-            if task.fault_armed:
-                # an injected TaskFault armed before the task started:
-                # this attempt fails immediately; the retry policy decides
-                task.fault_armed = False
-                fail_attempt(task, now, worker.instance_id, "injected task fault")
-                clock.schedule_call_in(0.0, worker_tick, worker)
-                return
-            task.state = TaskState.RUNNING
-            table.state[task.table_index] = 2  # RUNNING
-            table.worker[task.table_index] = worker_pos[worker.instance_id]
-            # pin the task's working set first so staging one operand can
-            # never evict another operand of the same task
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.pin(access.handle, worker.memory_node)
-            # stage operands; a prefetch noted for this worker's node is
-            # committed here, back-dated to its initiation time, so the
-            # transfers overlap the previous task's compute — and a task
-            # that was drained or stolen after the peek never charges
-            # transfers or link occupancy it did not use
-            staged = prefetched_until.pop(task.id, None)
-            stage_at = now
-            if staged is not None and staged[0] == worker.memory_node:
-                stage_at = staged[1]
-            data_ready = max(now, stage_operands(task, worker, stage_at))
-            transfer_wait = data_ready - now
-
-            start = data_ready + self.task_overhead_s
-            if vec is not None:
-                duration = vec.truth_duration(task, worker)
-            else:
-                duration = self.exec_estimate(task, worker)
-            end = start + duration
-
-            # coherence transition at start (write ownership is claimed
-            # when the kernel begins mutating the buffer)
-            for access in task.accesses:
-                self.coherence.note_access(
-                    access.handle, worker.memory_node, access.mode
-                )
-                if access.mode.writes:
-                    written_handles[access.handle.id] = access.handle
-                if self.capacity is not None and access.mode.writes:
-                    self.capacity.note_invalidated(
-                        access.handle, worker.memory_node
-                    )
-                    self.capacity.note_resident(
-                        access.handle, worker.memory_node, start
-                    )
-
-            worker.busy_until = end
-            worker.is_idle = False
-            task.worker_id = worker.instance_id
-            task.start_time = start
-            task.end_time = end
-            incarnation = task.incarnation
-            clock.schedule_call(
-                end, finish_task, (task, worker, transfer_wait, incarnation)
-            )
-
-            # data prefetch: note the *next* queued task's operands for
-            # staging while this one computes (StarPU's dmda-prefetch
-            # behaviour); the commit is deferred to its own start
-            if self.prefetch:
-                upcoming = self.scheduler.peek(worker)
-                if (
-                    upcoming is not None
-                    and upcoming.id not in prefetched_until
-                ):
-                    prefetched_until[upcoming.id] = (worker.memory_node, now)
-
-        def finish_task(item: tuple) -> None:
-            # single-tuple signature: scheduled through the clock's
-            # closure-free lane (no per-completion lambda allocation)
-            task, worker, transfer_wait, incarnation = item
-            nonlocal pending
-            now = clock.now
-            if task.incarnation != incarnation or task.state is not TaskState.RUNNING:
-                return  # attempt aborted by a fault event; stale completion
-            # the payload runs at completion, not dispatch, so an aborted
-            # attempt never half-applies a non-idempotent kernel
-            if self.execute_kernels:
-                self._execute_payload(task, worker)
-            task.state = TaskState.DONE
-            table.state[task.table_index] = 3  # DONE
-            pending -= 1
-            worker.busy_time += task.duration or 0.0
-            worker.tasks_executed += 1
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.unpin(access.handle, worker.memory_node)
-                    self.capacity.touch(access.handle, worker.memory_node, now)
-            trace.record_task(
-                TaskTrace(
-                    task_id=task.id,
-                    tag=task.tag,
-                    kernel=task.kernel,
-                    worker_id=worker.instance_id,
-                    architecture=worker.architecture,
-                    start=task.start_time or 0.0,
-                    end=now,
-                    transfer_wait=transfer_wait,
-                )
-            )
-            newly_ready = [
-                dep for dep in task.dependents if dep.notify_producer_done()
-            ]
-            for dep in newly_ready:
-                dep.state = TaskState.READY
-                table.mark_ready(dep.table_index, now)
-                self.scheduler.task_ready(dep, now)
-            if newly_ready:
-                wake_idle()
-            worker_tick(worker)
-
-        def record_fault(kind: str, task_tag: str, worker_id: str, detail: str) -> None:
-            trace.record_fault(
-                FaultTrace(kind, clock.now, task_tag, worker_id, detail)
-            )
-
-        def release_pins(task: RuntimeTask, worker: WorkerContext) -> None:
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.unpin(access.handle, worker.memory_node)
-
-        def fail_attempt(
-            task: RuntimeTask, now: float, worker_id: str, detail: str
-        ) -> None:
-            """One execution attempt failed; retry with backoff or give up."""
-            task.incarnation += 1
-            task.attempt += 1
-            task.last_error = detail
-            fault_stats["task_failures"] += 1
-            record_fault("task-fault", task.tag, worker_id or "", detail)
-            if task.state is TaskState.RUNNING:
-                worker = worker_by_id[task.worker_id]
-                release_pins(task, worker)
-                worker.busy_until = now
-                clock.schedule_call_in(0.0, worker_tick, worker)
-            task.worker_id = None
-            task.start_time = task.end_time = None
-            table.worker[task.table_index] = -1
-            if task.attempt > policy.max_retries:
-                task.state = TaskState.FAILED
-                table.state[task.table_index] = 4  # FAILED
-                raise TaskFailureError(
-                    f"task {task.tag!r} failed permanently after"
-                    f" {task.attempt} attempt(s); last error: {detail}",
-                    task_tag=task.tag,
-                    attempts=task.attempt,
-                )
-            task.state = TaskState.READY
-            table.state[task.table_index] = 1  # READY
-            fault_stats["retries"] += 1
-            delay = policy.backoff(task.attempt)
-            record_fault(
-                "retry", task.tag, worker_id or "",
-                f"attempt {task.attempt + 1} after {delay:.4g}s backoff",
-            )
-
-            def resubmit(t=task):
-                self.scheduler.task_ready(t, clock.now)
-                wake_idle()
-
-            clock.schedule_in(delay, resubmit)
-
-        def abort_inflight(worker: WorkerContext, now: float, reason: str) -> None:
-            """Requeue the task executing on a faulted lane (work lost)."""
-            for task in self._tasks:
-                if (
-                    task.state is TaskState.RUNNING
-                    and task.worker_id == worker.instance_id
-                ):
-                    task.incarnation += 1  # the scheduled finish is void
-                    release_pins(task, worker)
-                    task.worker_id = None
-                    task.start_time = task.end_time = None
-                    task.state = TaskState.READY
-                    table.state[task.table_index] = 1  # READY
-                    table.worker[task.table_index] = -1
-                    fault_stats["requeues"] += 1
-                    record_fault("requeue", task.tag, worker.instance_id, reason)
-                    self.scheduler.task_ready(task, now)
-            worker.busy_until = now
-
-        def on_dynamic_event(event) -> None:
-            now = clock.now
-            event.apply(self.platform)
-            if isinstance(event, TaskFault):
-                target = next(
-                    (t for t in self._tasks if t.tag == event.task_tag), None
-                )
-                if target is None:
-                    raise RuntimeEngineError(
-                        f"TaskFault: no submitted task with tag"
-                        f" {event.task_tag!r}"
-                    )
-                if target.state in (TaskState.DONE, TaskState.FAILED):
-                    return  # completed before the fault landed
-                if target.state is TaskState.RUNNING:
-                    fail_attempt(target, now, target.worker_id, event.describe())
-                else:
-                    target.fault_armed = True
-                wake_idle()
-                return
-            # descriptor properties feed the cost models; drop stale rates
-            self.perf.invalidate()
-            if self.sched_perf is not self.perf:
-                self.sched_perf.invalidate()
-            if self._vec_cost is not None:
-                # memoized execution rows are derived from the (now
-                # stale) model caches; rebuild on next score
-                self._vec_cost.invalidate_exec()
-            if event.affects_interconnect:
-                self.transfer_model.invalidate_routes()
-            for worker in self.workers:
-                if worker.entity_id != event.pu_id:
-                    continue
-                available, diag = _availability(worker.pu)
-                if diag is not None:
-                    self.diagnostics.append(diag)
-                if available:
-                    if worker.instance_id in self._offline and not worker.retired:
-                        self._offline.discard(worker.instance_id)
-                        idle.pop(worker.instance_id, None)
-                        clock.schedule_call_in(0.0, worker_tick, worker)
-                else:
-                    if worker.instance_id not in self._offline:
-                        self._offline.add(worker.instance_id)
-                        idle.pop(worker.instance_id, None)
-                        if isinstance(event, WorkerFault):
-                            # abrupt death: in-flight work is lost and
-                            # requeued; the lane never comes back
-                            worker.retired = True
-                            fault_stats["worker_failures"] += 1
-                            record_fault(
-                                "worker-fault", "", worker.instance_id,
-                                event.describe(),
-                            )
-                            abort_inflight(worker, now, event.describe())
-                        # re-queue whatever was bound to this worker
-                        for task in self.scheduler.drain(worker):
-                            fault_stats["requeues"] += 1
-                            record_fault(
-                                "requeue", task.tag, worker.instance_id,
-                                "queued work drained off offline lane",
-                            )
-                            self.scheduler.task_ready(task, now)
-            wake_idle()
+        loop = _SimLoop(self, TraceLog(), fault_policy)
+        clock = loop.clock
 
         # seed: initially-ready tasks and all workers
+        table = self.task_table
         for task in self._tasks:
             if task.ready:
                 task.state = TaskState.READY
                 table.mark_ready(task.table_index, 0.0)
                 self.scheduler.task_ready(task, 0.0)
         for worker in self.workers:
-            clock.schedule_call(0.0, worker_tick, worker)
+            clock.schedule_call(0.0, loop._tick, worker)
         for when, event in dynamic_events or ():
-            clock.schedule_call(float(when), on_dynamic_event, event)
+            clock.schedule_call(float(when), loop._on_dynamic_event, event)
 
         clock.run()
 
-        if pending:
+        if loop.pending:
             raise RuntimeEngineError(
-                self._stall_diagnosis("simulation", pending, self.workers)
+                self._stall_diagnosis("simulation", loop.pending, self.workers)
             )
 
+        trace = loop.trace
         makespan = trace.makespan
         if gather_to_home:
-            makespan = self._gather(written_handles.values(), makespan, trace)
+            makespan = self._gather(loop.written.values(), makespan, trace)
 
         wall = _time.perf_counter() - wall_start
+        stats = loop.stats
         return RunResult(
             makespan=makespan,
             mode="sim",
@@ -1115,10 +1201,10 @@ class RuntimeEngine:
             writeback_bytes=(
                 self.capacity.writeback_bytes if self.capacity is not None else 0.0
             ),
-            task_failures=fault_stats["task_failures"],
-            retry_count=fault_stats["retries"],
-            requeue_count=fault_stats["requeues"],
-            worker_failures=fault_stats["worker_failures"],
+            task_failures=stats["task_failures"],
+            retry_count=stats["retries"],
+            requeue_count=stats["requeues"],
+            worker_failures=stats["worker_failures"],
             diagnostics=self._diagnostic_payloads(),
         )
 

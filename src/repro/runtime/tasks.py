@@ -218,6 +218,13 @@ def task_signature(task: RuntimeTask) -> tuple:
     return (task.kernel, tuple(dims))
 
 
+class _SignatureProbe(NamedTuple):
+    """What a cost-row probe reads of a task: kernel name and dims."""
+
+    kernel: str
+    dims: tuple
+
+
 # numeric task-state codes for the SoA table (stable, part of the
 # introspection payload; do not renumber)
 _STATE_CODE = {
@@ -270,7 +277,8 @@ class TaskTable:
         self._kernels: dict[str, int] = {}
         self.kernel_names: list[str] = []
         self._sigs: dict[tuple, int] = {}
-        #: sig id → one task carrying that signature (cost-row probe)
+        #: sig id → one task (or bare probe) carrying that signature, the
+        #: cost-row probe
         self.sig_representative: list[RuntimeTask] = []
 
     def __len__(self) -> int:
@@ -314,6 +322,21 @@ class TaskTable:
         task.kind_id = kid
         task.cost_sig = sid
         return i
+
+    def signature_id(self, kernel: str, dims: tuple) -> int:
+        """Intern a ``(kernel, dims)`` cost signature without adding a row.
+
+        For tasks the engine scores but does not own (the serving front
+        end's requests): the signature is represented by a bare
+        ``_SignatureProbe``, so no such task outlives its run.
+        """
+        sig = (kernel, tuple(dims))
+        sid = self._sigs.get(sig)
+        if sid is None:
+            sid = len(self.sig_representative)
+            self._sigs[sig] = sid
+            self.sig_representative.append(_SignatureProbe(*sig))
+        return sid
 
     # -- O(1) column stores, called from the engine's hot path ---------
     def set_state(self, index: int, state: TaskState) -> None:

@@ -1,35 +1,33 @@
-"""The long-lived serving loop: ingestion → scheduling → autoscaling → tuning.
+"""The long-lived serving front end: ingestion → scheduling → autoscaling → tuning.
 
-:class:`ServeEngine` is a discrete-event simulator purpose-built for
-*open-loop streams of independent tasks*, reusing the runtime's parts:
-the deterministic :class:`~repro.runtime.simclock.EventQueue`, the
-worker-lane expansion and memory-node mapping of
-:class:`~repro.runtime.engine.RuntimeEngine` (borrowed via an internal
-binding engine, the same trick the calibrator uses), the contention-aware
-:class:`~repro.perf.transfer.TransferModel` for operand staging, the
-scheduler zoo (plus :class:`~repro.serve.scheduler.DeadlineScheduler`),
-and :class:`~repro.runtime.trace.TraceLog` in its bounded ring mode.
-
-One run weaves four loops together:
+:class:`ServeEngine` runs open-loop streams of independent requests on
+the runtime's own discrete-event core: one
+:class:`~repro.runtime.engine.RuntimeEngine` built from the platform
+supplies the lanes, memory nodes, contended transfer model and memoized
+cost rows, and its simulation loop runs every request.  Serving fills
+the loop's two seams — a started request stages its operand bytes
+host→device, a finished one feeds the SLO tracker and the tuning window
+— and reuses the rest: worker ticks, idle wake-ups, task start/finish,
+trace records (the :class:`~repro.runtime.trace.TraceLog` ring) and the
+lane toggle's drain + requeue.  One run weaves four loops together:
 
 * **Ingestion** — each arrival passes per-tenant token buckets and the
   bounded-queue :class:`~repro.service.admission.CapacityGate` (the
   registry server's 429 machinery); rejects are shed, admits become
   :class:`~repro.serve.request.ServeTask` objects with absolute
   deadlines.
-* **Execution** — lanes pull from the scheduler, stage operand bytes
-  host→device through the transfer model, and execute for the *truth*
-  perf model's duration (which may differ from what the scheduler's
-  model predicts — that gap is what online tuning closes).
-* **Autoscaling** — a fixed-cadence policy tick activates or drains
-  lanes; drain-down rides the scheduler's ``drain()`` rewind + requeue
-  path, so no queued task is stranded and dmda's est-free clocks stay
-  honest.
+* **Execution** — lanes pull from the scheduler (the runtime's zoo plus
+  :class:`~repro.serve.scheduler.DeadlineScheduler`) and execute for the
+  *truth* perf model's duration, which may differ from what the
+  scheduler's model predicts — the gap online tuning closes.
+* **Autoscaling** — a fixed-cadence policy tick turns lanes on and off
+  through the loop's lane toggle; a lane going offline finishes its
+  in-flight task while ``drain()`` rewinds and requeues its queue, so no
+  task is stranded and dmda's est-free clocks stay honest.
 * **Online tuning** — completed windows are folded into a
   :class:`~repro.tune.database.TuningDatabase` via
   :func:`~repro.tune.calibrate.harvest_run`, and the scheduler-side
-  :class:`~repro.tune.model.HistoryPerfModel` refits, improving
-  placement *while serving*.
+  :class:`~repro.tune.model.HistoryPerfModel` refits *while serving*.
 
 Everything is simulated-deterministic: same platform + config + arrival
 stream ⇒ an identical :class:`~repro.serve.report.ServingReport`
@@ -45,7 +43,7 @@ from repro.errors import ServeError
 from repro.model.platform import Platform
 from repro.obs import spans as _obs
 from repro.perf.calibration import TASK_SCHEDULING_OVERHEAD_S
-from repro.runtime.simclock import EventQueue
+from repro.runtime.engine import RuntimeEngine, _SimLoop, _VectorCostModel
 from repro.runtime.trace import FaultTrace, TaskTrace, TraceLog, TransferTrace
 from repro.runtime.workers import WorkerContext
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
@@ -122,54 +120,68 @@ class ServeConfig:
         }
 
 
-class _ServeCostModel:
-    """Scheduler-facing cost model over :class:`ServeTask` objects.
+class _ServeCostModel(_VectorCostModel):
+    """The runtime's memoized cost rows plus the one term it cannot know.
 
-    ``supports`` folds in lane liveness (inactive and draining lanes take
-    no new work), which is how the autoscaler's fleet shape reaches the
-    scheduler.  Estimates are memoized per (kernel, dims, entity) and the
-    memo epoch is bumped whenever online tuning refits the history model.
+    Requests carry no data handles, so coherence has nothing to say about
+    them; their staging cost is one host→lane copy of ``task.nbytes``.
+    The scheduler scores requests one arrival at a time through this
+    model's scalar protocol.
     """
-
-    def __init__(self, engine: "ServeEngine"):
-        self._engine = engine
-        self._memo: dict[tuple, float] = {}
-        self._staging: dict[tuple, float] = {}
-        self.epoch = 0
-
-    def invalidate(self) -> None:
-        self._memo.clear()
-        self._staging.clear()
-        self.epoch += 1
-
-    def exec_estimate(self, task: ServeTask, worker: WorkerContext) -> float:
-        key = (task.kernel, task.dims, worker.entity_id)
-        est = self._memo.get(key)
-        if est is None:
-            est = self._engine._estimate_exec(
-                self._engine.sched_perf, task, worker
-            )
-            self._memo[key] = est
-        return est
 
     def transfer_estimate(self, task: ServeTask, worker: WorkerContext) -> float:
         if task.nbytes <= 0.0 or worker.memory_node == 0:
             return 0.0
-        key = (worker.entity_id, task.nbytes)
-        est = self._staging.get(key)
-        if est is None:
-            est = self._engine.transfer_model.ideal_time(
-                self._engine.node_anchor[0], worker.entity_id, task.nbytes
-            )
-            self._staging[key] = est
-        return est
-
-    def supports(self, task: ServeTask, worker: WorkerContext) -> bool:
-        return (
-            worker.instance_id in self._engine._active
-            and worker.instance_id not in self._engine._draining
-            and worker.supports(self._engine.registry, task.kernel)
+        engine = self._engine
+        return engine.transfer_model.ideal_time_cached(
+            engine.node_anchor[0], worker.entity_id, task.nbytes
         )
+
+
+class _ServeLoop(_SimLoop):
+    """The runtime's simulation loop with serving's two seams."""
+
+    def __init__(self, front: "ServeEngine"):
+        super().__init__(
+            front.runtime, TraceLog(max_events=front.config.trace_max_events)
+        )
+        self.front = front
+
+    def _stage(self, task: ServeTask, worker: WorkerContext, now: float) -> float:
+        """Stage the request's operand bytes host → lane (never resident
+        beforehand: every request brings fresh operands)."""
+        if task.nbytes <= 0.0 or worker.memory_node == 0:
+            return now
+        engine = self.engine
+        est = engine.transfer_model.schedule(
+            engine.node_anchor[0], worker.entity_id, task.nbytes, now
+        )
+        record = TransferTrace(
+            handle_name=f"req-{task.id}",
+            nbytes=int(task.nbytes),
+            src_node=0,
+            dst_node=worker.memory_node,
+            start=est.start,
+            end=est.finish,
+        )
+        self.trace.record_transfer(record)
+        if self.front.config.online_tuning:
+            self.front._window_trace.record_transfer(record)
+        return est.finish
+
+    def _complete(
+        self, task: ServeTask, worker: WorkerContext, record: TaskTrace
+    ) -> None:
+        """SLO accounting, and the harvest window under online tuning."""
+        front = self.front
+        now = record.end
+        front.slo.observe_completion(
+            task.tenant, now - task.arrival, met_deadline=now <= task.deadline + _EPS
+        )
+        front._in_flight -= 1
+        if front.config.online_tuning:
+            front._window_tasks.append(task)
+            front._window_trace.record_task(record)
 
 
 class ServeEngine:
@@ -186,23 +198,8 @@ class ServeEngine:
         tuning_database=None,
         metrics=None,
     ):
-        from repro.runtime.engine import RuntimeEngine
-
         self.config = config or ServeConfig()
-        # binding engine: reuses RuntimeEngine's platform validation,
-        # worker expansion, node mapping and transfer model — the serving
-        # loop itself never runs it
-        binding = RuntimeEngine(
-            platform, scheduler="eager", registry=registry, vectorized=False
-        )
         self.platform = platform
-        self.registry = binding.registry
-        self.workers: list[WorkerContext] = binding.workers
-        self.node_anchor: dict[int, str] = binding.node_anchor
-        self.transfer_model = binding.transfer_model
-        self.truth_perf = (
-            truth_perf_model if truth_perf_model is not None else binding.perf
-        )
         self.metrics = metrics
 
         # scheduler-side model: explicit > online-tuned history > truth
@@ -210,51 +207,57 @@ class ServeEngine:
         self.digest: Optional[str] = None
         self._harvests = 0
         self._harvested_samples = 0
-        if sched_perf_model is not None:
-            self.sched_perf = sched_perf_model
-        elif self.config.online_tuning:
-            from repro.pdl.catalog import content_digest
-            from repro.pdl.writer import write_pdl
-            from repro.tune.database import TuningDatabase
-            from repro.tune.model import HistoryPerfModel
-
-            if self.tuning_database is None:
-                self.tuning_database = TuningDatabase()
-            self.digest = content_digest(write_pdl(platform))
-            self.sched_perf = HistoryPerfModel(
-                self.tuning_database, self.digest, blend=self.config.tuning_blend
-            )
-        else:
-            self.sched_perf = self.truth_perf
-        if self.config.online_tuning and self.digest is None:
+        if self.config.online_tuning:
             from repro.pdl.catalog import content_digest
             from repro.pdl.writer import write_pdl
 
             self.digest = content_digest(write_pdl(platform))
+            if sched_perf_model is None:
+                from repro.tune.database import TuningDatabase
+                from repro.tune.model import HistoryPerfModel
 
-        self.scheduler = make_serve_scheduler(
-            self.config.scheduler, miss_weight=self.config.miss_weight
+                if self.tuning_database is None:
+                    self.tuning_database = TuningDatabase()
+                sched_perf_model = HistoryPerfModel(
+                    self.tuning_database, self.digest, blend=self.config.tuning_blend
+                )
+
+        #: the runtime built from the descriptor: its lanes, node mapping,
+        #: transfer model and cost rows, and the loop every request runs in
+        self.runtime = RuntimeEngine(
+            platform,
+            scheduler=make_serve_scheduler(
+                self.config.scheduler, miss_weight=self.config.miss_weight
+            ),
+            registry=registry,
+            perf_model=truth_perf_model,
+            sched_perf_model=sched_perf_model,
+            task_overhead_s=self.config.task_overhead_s,
         )
-        self.cost_model = _ServeCostModel(self)
+        self.registry = self.runtime.registry
+        self.workers: list[WorkerContext] = self.runtime.workers
+        self.node_anchor: dict[int, str] = self.runtime.node_anchor
+        self.sched_perf = self.runtime.sched_perf
+        self.scheduler = self.runtime.scheduler
+        # re-attaching drops the batch scorer the runtime enabled: requests
+        # carry no data accesses, so they are scored scalar
+        self.cost_model = _ServeCostModel(self.runtime)
         self.scheduler.attach(self.workers, self.cost_model)
 
         # fleet shape: activation order puts one lane per architecture
         # first (the always-on "core", so every fleet-supported kernel
-        # keeps a compatible active lane through any drain-down), then
+        # keeps a compatible online lane through any drain-down), then
         # the rest in platform order
-        core: dict[str, str] = {}
-        rest: list[str] = []
+        core: dict[str, WorkerContext] = {}
+        rest: list[WorkerContext] = []
         for worker in self.workers:
             if worker.architecture not in core:
-                core[worker.architecture] = worker.instance_id
+                core[worker.architecture] = worker
             else:
-                rest.append(worker.instance_id)
-        self._core: set[str] = set(core.values())
-        self._lane_order: list[str] = list(core.values()) + rest
-        self._lane_of = {w.instance_id: w for w in self.workers}
+                rest.append(worker)
+        self._core: set[str] = {w.instance_id for w in core.values()}
+        self._lanes: list[WorkerContext] = list(core.values()) + rest
         self.autoscaler = Autoscaler(self.config.autoscale, len(self.workers))
-        self._active: set[str] = set()
-        self._draining: set[str] = set()
 
         # admission machinery (shared with the registry server)
         self.capacity_gate = CapacityGate(self.config.max_queue)
@@ -264,17 +267,13 @@ class ServeEngine:
         )
         self._consecutive_shed: dict[str, int] = {}
 
-        self.clock = EventQueue()
-        self.trace = TraceLog(max_events=self.config.trace_max_events)
         self.slo = SLOTracker(
             latency_window=self.config.latency_window, metrics=metrics
         )
-        self._live: dict[int, ServeTask] = {}
+        self._in_flight = 0
         self._next_id = 0
         self._arrivals: Optional[Iterable[TaskRequest]] = None
         self._stream_open = False
-        self.requeues = 0
-        self.completed = 0
 
         # harvest window (online tuning)
         self._window_tasks: list[ServeTask] = []
@@ -282,22 +281,16 @@ class ServeEngine:
         #: harvest_run reads ``engine._tasks``; points at the current window
         self._tasks: list[ServeTask] = self._window_tasks
 
+        self._loop = _ServeLoop(self)
+        self.clock = self._loop.clock
+        self.trace = self._loop.trace
+        # every lane starts offline; a run brings the initial fleet up
+        self._loop.offline.update(w.instance_id for w in self.workers)
+
     # -- configuration -------------------------------------------------------
     def limit_tenant(self, tenant: str, rate_per_s: float, burst: float) -> None:
         """Give one tenant an explicit token-bucket budget."""
         self.rate_limiter.configure(tenant, rate_per_s, burst)
-
-    # -- cost plumbing -------------------------------------------------------
-    def _estimate_exec(self, model, task: ServeTask, worker: WorkerContext) -> float:
-        kernel_def = self.registry.get(task.kernel)
-        dims = task.dims
-        return model.estimate(
-            worker.pu,
-            kernel=task.kernel,
-            flops=kernel_def.flops(dims),
-            bytes_touched=kernel_def.bytes_touched(dims),
-            dims=dims if len(dims) == 3 else None,
-        )
 
     def _fleet_supports(self, kernel: str) -> bool:
         try:
@@ -309,78 +302,47 @@ class ServeEngine:
         )
 
     # -- fleet shape ---------------------------------------------------------
-    def _activate_initial(self) -> None:
-        want = max(self.autoscaler.initial_active(), len(self._core))
-        for instance_id in self._lane_order[:want]:
-            self._active.add(instance_id)
-        self.autoscaler.observe(len(self._active))
+    def _online(self) -> list[WorkerContext]:
+        offline = self._loop.offline
+        return [w for w in self._lanes if w.instance_id not in offline]
 
     def _activate_lanes(self, count: int) -> int:
-        """Turn on up to ``count`` inactive lanes; returns how many."""
-        now = self.clock.now
+        """Bring up to ``count`` offline lanes online; returns how many."""
+        offline = self._loop.offline
         moved = 0
-        for instance_id in self._lane_order:
+        for worker in self._lanes:
             if moved == count:
                 break
-            if instance_id in self._active:
-                continue
-            self._draining.discard(instance_id)
-            self._active.add(instance_id)
-            moved += 1
-            self.clock.schedule_call(now, self._worker_tick, instance_id)
+            if worker.instance_id in offline:
+                self._loop.lane_online(worker)
+                moved += 1
         return moved
 
-    def _retire_candidate(self) -> Optional[str]:
-        """Last activatable lane that is not core and not draining;
-        prefer an idle one so retirement is instant."""
+    def _retire_candidate(self) -> Optional[WorkerContext]:
+        """Last online lane that is not core; prefer an idle one so
+        retirement is instant."""
         candidates = [
-            iid
-            for iid in reversed(self._lane_order)
-            if iid in self._active and iid not in self._core
+            w for w in reversed(self._online()) if w.instance_id not in self._core
         ]
         now = self.clock.now
-        for iid in candidates:
-            if self._lane_of[iid].busy_until <= now + _EPS:
-                return iid
+        for worker in candidates:
+            if worker.busy_until <= now + _EPS:
+                return worker
         return candidates[0] if candidates else None
 
-    def _retire_lane(self, instance_id: str) -> None:
+    def _retire_lane(self, worker: WorkerContext) -> None:
         """Graceful drain-down: requeue queued work, finish in-flight."""
-        now = self.clock.now
-        worker = self._lane_of[instance_id]
-        # order matters: deactivate first so supports() excludes the lane,
-        # then drain + requeue — re-placement can never land back on it
-        self._active.discard(instance_id)
-        drained = self.scheduler.drain(worker)
-        for task in drained:
-            self.requeues += 1
-            self.trace.record_fault(
-                FaultTrace(
-                    kind="requeue",
-                    time=now,
-                    task_tag=task.tag,
-                    worker_id=instance_id,
-                    detail="autoscale-retire",
-                )
-            )
-            self.scheduler.task_ready(task, now)
-        if worker.busy_until > now + _EPS:
-            # in-flight task finishes on this lane; completion closes it
-            self._draining.add(instance_id)
-        if drained:
-            self._kick_idle(now)
+        if self._loop.lane_offline(worker, "autoscale-retire"):
+            self._loop.wake_idle()
 
     def _autoscale_tick(self, _arg=None) -> None:
         if self._finished():
             return
         now = self.clock.now
         backlog = self.scheduler.pending_count()
-        active = len(self._active)
-        idle = sum(
-            1
-            for iid in self._active
-            if self._lane_of[iid].busy_until <= now + _EPS
-        )
+        online = self._online()
+        active = len(online)
+        idle = sum(1 for w in online if w.busy_until <= now + _EPS)
         if self.metrics is not None:
             self.metrics.gauge("serve.active_workers").set(active)
             self.metrics.gauge("serve.queue_depth").set(backlog)
@@ -401,63 +363,54 @@ class ServeEngine:
         )
 
     # -- ingestion -----------------------------------------------------------
-    def _admit(self, request: TaskRequest, now: float):
-        """Run the admission pipeline; returns the decision."""
+    def _admit(self, request: TaskRequest, now: float) -> bool:
+        """Run the admission pipeline; False when the request is rejected."""
         tenant = request.tenant
         if not self._fleet_supports(request.kernel):
-            self.slo.observe_rejected(tenant, "shed")
-            self.trace.record_fault(
-                FaultTrace(
-                    kind="shed",
-                    time=now,
-                    task_tag=f"{tenant}:{request.kernel}",
-                    worker_id="",
-                    detail="unsupported-kernel",
-                )
-            )
-            return None
+            self._reject(request, now, "shed")
+            return False
         decision = self.rate_limiter.admit(tenant, now)
         if not decision:
-            self.slo.observe_rejected(tenant, "rate-limited")
-            self._observe_retry_after(decision.retry_after_s)
-            self.trace.record_fault(
-                FaultTrace(
-                    kind="rate-limited",
-                    time=now,
-                    task_tag=f"{tenant}:{request.kernel}",
-                    worker_id="",
-                    detail=f"retry_after={decision.retry_after_s:.3f}",
-                )
-            )
-            return None
+            self._reject(request, now, "rate-limited", decision.retry_after_s)
+            return False
         consecutive = self._consecutive_shed.get(tenant, 0)
         decision = self.capacity_gate.check(
             self.scheduler.pending_count(), consecutive=consecutive
         )
         if not decision:
             self._consecutive_shed[tenant] = consecutive + 1
-            self.slo.observe_rejected(tenant, "shed")
-            self._observe_retry_after(decision.retry_after_s)
-            self.trace.record_fault(
-                FaultTrace(
-                    kind="shed",
-                    time=now,
-                    task_tag=f"{tenant}:{request.kernel}",
-                    worker_id="",
-                    detail=f"retry_after={decision.retry_after_s:.3f}",
-                )
-            )
-            return None
+            self._reject(request, now, "shed", decision.retry_after_s)
+            return False
         self._consecutive_shed[tenant] = 0
-        return decision
+        return True
 
-    def _observe_retry_after(self, retry_after_s: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram("serve.retry_after_s").observe(retry_after_s)
+    def _reject(
+        self,
+        request: TaskRequest,
+        now: float,
+        kind: str,
+        retry_after_s: Optional[float] = None,
+    ) -> None:
+        """Account one rejection (no retry-after: the kernel is unsupported)."""
+        self.slo.observe_rejected(request.tenant, kind)
+        detail = "unsupported-kernel"
+        if retry_after_s is not None:
+            if self.metrics is not None:
+                self.metrics.histogram("serve.retry_after_s").observe(retry_after_s)
+            detail = f"retry_after={retry_after_s:.3f}"
+        self.trace.record_fault(
+            FaultTrace(
+                kind=kind,
+                time=now,
+                task_tag=f"{request.tenant}:{request.kernel}",
+                worker_id="",
+                detail=detail,
+            )
+        )
 
     def _on_arrival(self, request: TaskRequest) -> None:
         now = self.clock.now
-        if self._admit(request, now) is not None:
+        if self._admit(request, now):
             deadline = (
                 request.deadline_s
                 if request.deadline_s is not None
@@ -466,11 +419,13 @@ class ServeEngine:
             task = ServeTask(
                 self._next_id, request, deadline_abs=request.arrival_s + deadline
             )
+            task.cost_sig = self.runtime.task_table.signature_id(
+                task.kernel, task.dims
+            )
             self._next_id += 1
-            self._live[task.id] = task
+            self._in_flight += 1
             self.slo.observe_admitted(request.tenant)
-            self.scheduler.task_ready(task, now)
-            self._kick_idle(now)
+            self._loop.admit(task, now)
         self._pull_next_arrival()
 
     def _pull_next_arrival(self) -> None:
@@ -481,89 +436,6 @@ class ServeEngine:
             self._stream_open = False
             return
         self.clock.schedule_call(request.arrival_s, self._on_arrival, request)
-
-    def _kick_idle(self, now: float) -> None:
-        for instance_id in self._lane_order:
-            if (
-                instance_id in self._active
-                and instance_id not in self._draining
-                and self._lane_of[instance_id].busy_until <= now + _EPS
-            ):
-                self.clock.schedule_call(now, self._worker_tick, instance_id)
-
-    # -- execution -----------------------------------------------------------
-    def _worker_tick(self, instance_id: str) -> None:
-        now = self.clock.now
-        worker = self._lane_of[instance_id]
-        if instance_id not in self._active or instance_id in self._draining:
-            return
-        if worker.busy_until > now + _EPS:
-            return
-        task = self.scheduler.next_task(worker, now)
-        if task is None:
-            return
-        self._start_task(task, worker, now)
-
-    def _start_task(self, task: ServeTask, worker: WorkerContext, now: float) -> None:
-        data_ready = now
-        if task.nbytes > 0.0 and worker.memory_node != 0:
-            est = self.transfer_model.schedule(
-                self.node_anchor[0], worker.entity_id, task.nbytes, now
-            )
-            data_ready = est.finish
-            record = TransferTrace(
-                handle_name=f"req-{task.id}",
-                nbytes=int(task.nbytes),
-                src_node=0,
-                dst_node=worker.memory_node,
-                start=est.start,
-                end=est.finish,
-            )
-            self.trace.record_transfer(record)
-            if self.config.online_tuning:
-                self._window_trace.record_transfer(record)
-        task.transfer_wait = max(0.0, data_ready - now)
-        start = data_ready + self.config.task_overhead_s
-        duration = self._estimate_exec(self.truth_perf, task, worker)
-        end = start + duration
-        task.worker_id = worker.instance_id
-        task.start_time = start
-        task.end_time = end
-        worker.busy_until = end
-        worker.is_idle = False
-        self.clock.schedule_call(end, self._complete_task, task)
-
-    def _complete_task(self, task: ServeTask) -> None:
-        now = self.clock.now
-        worker = self._lane_of[task.worker_id]
-        worker.is_idle = True
-        worker.busy_time += task.end_time - task.start_time
-        worker.tasks_executed += 1
-        record = TaskTrace(
-            task_id=task.id,
-            tag=task.tag,
-            kernel=task.kernel,
-            worker_id=worker.instance_id,
-            architecture=worker.architecture,
-            start=task.start_time,
-            end=task.end_time,
-            transfer_wait=task.transfer_wait,
-        )
-        self.trace.record_task(record)
-        latency = now - task.arrival
-        met = now <= task.deadline + _EPS
-        self.slo.observe_completion(task.tenant, latency, met_deadline=met)
-        self.completed += 1
-        del self._live[task.id]
-        if self.config.online_tuning:
-            self._window_tasks.append(task)
-            self._window_trace.record_task(record)
-        if worker.instance_id in self._draining:
-            # graceful retirement completes: the in-flight task is done,
-            # the queue was requeued at drain time — the lane goes dark
-            self._draining.discard(worker.instance_id)
-        else:
-            self._worker_tick(worker.instance_id)
 
     # -- online tuning -------------------------------------------------------
     def _harvest_tick(self, _arg=None) -> None:
@@ -596,11 +468,11 @@ class ServeEngine:
         # refit: drop fitted curves and every memoized placement estimate
         if hasattr(self.sched_perf, "invalidate"):
             self.sched_perf.invalidate()
-        self.cost_model.invalidate()
+        self.cost_model.invalidate_exec()
 
     # -- the run -------------------------------------------------------------
     def _finished(self) -> bool:
-        return not self._stream_open and not self._live
+        return not self._stream_open and not self._in_flight
 
     def run(self, arrivals: Iterable[TaskRequest]) -> ServingReport:
         """Serve the stream to completion; returns the serving report."""
@@ -622,13 +494,14 @@ class ServeEngine:
             return report
 
     def _run(self, arrivals: Iterable[TaskRequest]) -> ServingReport:
-        if self._next_id:
+        if self._arrivals is not None:
             raise ServeError(
                 "ServeEngine.run is one-shot; build a fresh engine per run"
             )
         self._arrivals = iter(validate_stream(arrivals))
         self._stream_open = True
-        self._activate_initial()
+        want = max(self.autoscaler.initial_active(), len(self._core))
+        self.autoscaler.observe(self._activate_lanes(want))
         self._pull_next_arrival()
         if not self._stream_open:
             raise ServeError("arrival stream is empty")
@@ -656,6 +529,6 @@ class ServeEngine:
                 "harvests": self._harvests,
                 "samples": self._harvested_samples,
             },
-            requeues=self.requeues,
+            requeues=self._loop.stats["requeues"],
             trace=self.trace,
         )

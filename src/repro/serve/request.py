@@ -74,11 +74,17 @@ class ServeTask:
     """An admitted request bound into the serving loop.
 
     Shaped like a :class:`~repro.runtime.tasks.RuntimeTask` as far as the
-    schedulers' scalar paths care (``id``, ``kernel``, ``dims``,
-    ``priority``, ``tag``) but carries the serving-side state — tenant,
-    absolute deadline, arrival/start/end stamps — and no dependency
+    schedulers' scalar paths and the runtime's simulation loop care
+    (``id``, ``kernel``, ``dims``, ``priority``, ``tag``, ``cost_sig``)
+    but carries the serving-side state — tenant, absolute deadline,
+    arrival/start/end stamps — and no data handles or dependency
     machinery: serving tasks are independent by construction.
     """
+
+    #: the loop's fault bookkeeping: a request is never aborted or
+    #: fault-injected, so these stay class-level constants
+    incarnation = 0
+    fault_armed = False
 
     __slots__ = (
         "id",
@@ -93,7 +99,8 @@ class ServeTask:
         "worker_id",
         "start_time",
         "end_time",
-        "transfer_wait",
+        "cost_sig",
+        "__weakref__",
     )
 
     def __init__(
@@ -115,7 +122,8 @@ class ServeTask:
         self.worker_id: Optional[str] = None
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self.transfer_wait = 0.0
+        #: interned (kernel, dims) cost signature, set at admission
+        self.cost_sig: Optional[int] = None
 
     def __repr__(self) -> str:
         return (

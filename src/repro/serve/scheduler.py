@@ -51,6 +51,12 @@ def _deadline_of(task) -> Optional[float]:
     return deadline
 
 
+def _edf_key(task) -> tuple[float, int]:
+    """Lane-queue order: deadline (none sorts last), then admission id."""
+    deadline = _deadline_of(task)
+    return (deadline if deadline is not None else float("inf"), task.id)
+
+
 class DeadlineScheduler(DequeModelScheduler):
     """dmda with predicted-lateness penalties and EDF lane queues."""
 
@@ -104,14 +110,7 @@ class DeadlineScheduler(DequeModelScheduler):
         ``id`` breaks deadline ties by admission order, keeping the queue
         deterministic.  Tasks without a deadline sort last (+inf).
         """
-        queue = self._queues[instance_id]
-        deadline = _deadline_of(task)
-        key = (deadline if deadline is not None else float("inf"), task.id)
-        keys = [
-            (_deadline_of(t) if _deadline_of(t) is not None else float("inf"), t.id)
-            for t in queue
-        ]
-        queue.insert(bisect.bisect_right(keys, key), task)
+        bisect.insort(self._queues[instance_id], task, key=_edf_key)
 
 
 SERVE_SCHEDULER_NAMES = ("dmda-slo", "dmda", "dm", "eager")

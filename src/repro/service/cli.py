@@ -40,7 +40,7 @@ _DEFAULT_URL = "http://127.0.0.1:8787"
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-registry",
+        prog="repro registry",
         description="Platform registry service: PDL store + remote selection API",
     )
     sub = parser.add_subparsers(dest="command", required=True)

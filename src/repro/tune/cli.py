@@ -32,7 +32,7 @@ _DEFAULT_DB = "tuning.json"
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-tune",
+        prog="repro tune",
         description="Autotuning: calibrate, inspect, late-bind, publish",
     )
     sub = parser.add_subparsers(dest="command", required=True)

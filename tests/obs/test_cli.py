@@ -49,6 +49,22 @@ class TestDispatch:
         assert excinfo.value.code == 0
         assert "list" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "verb, module",
+        [
+            ("cascabel", "repro.cascabel.cli"),
+            ("tune", "repro.tune.cli"),
+            ("pdl", "repro.pdl.cli"),
+            ("registry", "repro.service.cli"),
+            ("lint", "repro.analysis.cli"),
+        ],
+    )
+    def test_subtool_usage_names_umbrella_verb(self, verb, module):
+        import importlib
+
+        parser = importlib.import_module(module).build_arg_parser()
+        assert parser.format_usage().startswith(f"usage: repro {verb}")
+
 
 class TestTraceView:
     def _payload_file(self, tmp_path):

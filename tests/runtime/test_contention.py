@@ -86,13 +86,6 @@ class TestTransferModelCaches:
         model.invalidate_routes()
         assert not model._ideal_cache
 
-    def test_bulk_ideal_times(self, gpgpu_platform):
-        model = TransferModel(gpgpu_platform)
-        reqs = [("host", "gpu0", 1024.0), ("host", "gpu1", 2048.0)]
-        assert model.bulk_ideal_times(reqs) == [
-            model.ideal_time(*r) for r in reqs
-        ]
-
     def test_param_cache_schedules_identically(self, gpgpu_platform):
         cached = TransferModel(gpgpu_platform)
         cached.param_cache_enabled = True

@@ -163,27 +163,37 @@ class TestAutoscaling:
 
     def test_core_lanes_cover_every_architecture(self, platform):
         engine = ServeEngine(platform)
-        covered = {engine._lane_of[i].architecture for i in engine._core}
+        covered = {
+            w.architecture for w in engine.workers if w.instance_id in engine._core
+        }
         assert covered == {w.architecture for w in engine.workers}
 
     def test_graceful_retirement_requeues_and_loses_nothing(self, platform):
         # force the drain path directly: queue work on a lane, retire it,
         # and serve to completion — nothing lost, requeues recorded
-        arrivals = _stream(duration=0.4, rate_per_s=800.0, size=256)
+        arrivals = _stream(duration=0.4, rate_per_s=4000.0, size=256)
         config = ServeConfig(
             autoscale=AutoscalePolicy(enabled=False, min_workers=10)
         )
         engine = ServeEngine(platform, config=config)
+        loop = engine._loop
 
         victims = []
 
         def sabotage(_arg=None):
-            # retire the busiest non-core active lane mid-run
-            for iid in reversed(engine._lane_order):
-                if iid in engine._active and iid not in engine._core:
-                    victims.append(iid)
-                    engine._retire_lane(iid)
-                    return
+            # retire the busiest non-core online lane mid-run
+            queues = engine.scheduler._queues
+            worker = max(
+                (
+                    w
+                    for w in engine._lanes
+                    if w.instance_id not in loop.offline
+                    and w.instance_id not in engine._core
+                ),
+                key=lambda w: len(queues[w.instance_id]),
+            )
+            victims.append(worker.instance_id)
+            engine._retire_lane(worker)
 
         engine.clock.schedule_call(0.05, sabotage, None)
         report = engine.run(arrivals)
@@ -193,8 +203,32 @@ class TestAutoscaling:
         sched = engine.scheduler
         lane = victims[0]
         assert sched._est_free[lane] == pytest.approx(sched._committed[lane])
-        assert lane not in engine._active
-        assert lane not in engine._draining  # finalized by run end
+        assert lane in loop.offline
+        assert lane not in loop.running  # in-flight task finished by run end
+        # the queued work moved, and every requeue is one fault record
+        assert report.requeues > 0
+        assert report.trace.fault_counts()["requeue"] == report.requeues
+
+
+class TestMemory:
+    def test_completed_tasks_are_released(self, platform):
+        import weakref
+
+        engine = ServeEngine(platform)
+        first = []
+        admit = engine._loop.admit
+
+        def spy(task, now):
+            if not first:
+                first.append(weakref.ref(task))
+            admit(task, now)
+
+        engine._loop.admit = spy
+        report = engine.run(_stream(duration=0.3))
+        assert report.totals["completed"] > 1
+        assert first and first[0]() is None
+        assert engine.runtime._tasks == []
+        assert engine._loop.running == {}
 
 
 class TestOnlineTuning:

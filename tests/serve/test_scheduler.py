@@ -136,6 +136,21 @@ class TestEDFQueues:
         sched.task_ready(second, 0.0)
         assert sched.next_task(workers["only"], 0.0) is first
 
+    def test_mixed_none_inf_and_equal_deadlines(self):
+        # None and +inf both mean "no deadline" and sort last; equal keys
+        # order by id, also for an older task inserted late (a requeue)
+        sched, workers = _attach({"only": 1.0})
+        requeued = _Task(deadline=5.0)
+        none = _Task(deadline=None)
+        inf = _Task(deadline=float("inf"))
+        tight = _Task(deadline=5.0)
+        also_tight = _Task(deadline=5.0)
+        early = _Task(deadline=1.0)
+        for task in (none, inf, tight, also_tight, early, requeued):
+            sched.task_ready(task, 0.0)
+        order = [sched.next_task(workers["only"], 0.0) for _ in range(6)]
+        assert order == [early, requeued, tight, also_tight, none, inf]
+
 
 class TestDrainRewind:
     def test_drain_rewinds_est_free_accounting(self):
