@@ -206,10 +206,6 @@ class _VectorCostModel:
     # -- interning bridges ------------------------------------------------
     def kind_of(self, task: RuntimeTask) -> int:
         kid = task.kind_id
-        if kid is None:
-            # task bypassed engine.submit (unit-test construction)
-            self._engine.task_table.add(task)
-            kid = task.kind_id
         self._ensure_kind(kid)
         return kid
 
@@ -231,9 +227,6 @@ class _VectorCostModel:
     # -- batch rows -------------------------------------------------------
     def exec_row(self, task: RuntimeTask) -> np.ndarray:
         sid = task.cost_sig
-        if sid is None:
-            self._engine.task_table.add(task)
-            sid = task.cost_sig
         row = self._exec_rows.get(sid)
         if row is None:
             engine = self._engine
@@ -333,9 +326,6 @@ class _VectorCostModel:
         duration, which (like the scheduler estimate) depends only on the
         task's cost signature and the worker."""
         sid = task.cost_sig
-        if sid is None:
-            self._engine.task_table.add(task)
-            sid = task.cost_sig
         row = self._truth_rows.get(sid)
         if row is None:
             engine = self._engine
@@ -454,8 +444,6 @@ class _SimLoop:
         #: handles some task wrote, for the gather back to host memory
         self.written: dict[int, DataHandle] = {}
         self._worker_by_id = {w.instance_id: w for w in engine.workers}
-        self._worker_pos = {w.instance_id: i for i, w in enumerate(engine.workers)}
-        self._table = engine.task_table
         # vectorized mode routes per-task resolution through the memoized
         # lanes (identical results); scalar mode keeps the reference
         # implementations so the two paths stay independently checkable
@@ -546,7 +534,6 @@ class _SimLoop:
         start = data_ready + self._overhead
         end = start + self._duration(task, worker)
         worker.busy_until = end
-        worker.is_idle = False
         iid = worker.instance_id
         task.worker_id = iid
         task.start_time = start
@@ -566,8 +553,6 @@ class _SimLoop:
         running = self.running
         if running.get(iid) is task:
             del running[iid]
-        worker.busy_time += task.end_time - task.start_time
-        worker.tasks_executed += 1
         record = TaskTrace(
             task_id=task.id,
             tag=task.tag,
@@ -587,9 +572,6 @@ class _SimLoop:
         """Claim ``task`` for ``worker`` and stage its operands; returns
         when they are ready (never before ``now``)."""
         task.state = TaskState.RUNNING
-        table = self._table
-        table.state[task.table_index] = 2  # RUNNING
-        table.worker[task.table_index] = self._worker_pos[worker.instance_id]
         node = worker.memory_node
         capacity = self._capacity
         # pin the task's working set first so staging one operand can
@@ -639,8 +621,6 @@ class _SimLoop:
         if engine.execute_kernels:
             engine._execute_payload(task, worker)
         task.state = TaskState.DONE
-        table = self._table
-        table.state[task.table_index] = 3  # DONE
         self.pending -= 1
         capacity = self._capacity
         if capacity is not None:
@@ -651,7 +631,6 @@ class _SimLoop:
         if newly_ready:
             for dep in newly_ready:
                 dep.state = TaskState.READY
-                table.mark_ready(dep.table_index, now)
                 self.scheduler.task_ready(dep, now)
             self.wake_idle()
 
@@ -747,7 +726,6 @@ class _SimLoop:
         task.last_error = detail
         self.stats["task_failures"] += 1
         self._record_fault("task-fault", task.tag, worker_id or "", detail)
-        table = self._table
         if task.state is TaskState.RUNNING:
             worker = self._worker_by_id[task.worker_id]
             if self.running.get(worker.instance_id) is task:
@@ -757,10 +735,8 @@ class _SimLoop:
             self.clock.schedule_call_in(0.0, self._tick, worker)
         task.worker_id = None
         task.start_time = task.end_time = None
-        table.worker[task.table_index] = -1
         if task.attempt > self.policy.max_retries:
             task.state = TaskState.FAILED
-            table.state[task.table_index] = 4  # FAILED
             raise TaskFailureError(
                 f"task {task.tag!r} failed permanently after"
                 f" {task.attempt} attempt(s); last error: {detail}",
@@ -768,7 +744,6 @@ class _SimLoop:
                 attempts=task.attempt,
             )
         task.state = TaskState.READY
-        table.state[task.table_index] = 1  # READY
         self.stats["retries"] += 1
         delay = self.policy.backoff(task.attempt)
         self._record_fault(
@@ -789,8 +764,6 @@ class _SimLoop:
             task.worker_id = None
             task.start_time = task.end_time = None
             task.state = TaskState.READY
-            self._table.state[task.table_index] = 1  # READY
-            self._table.worker[task.table_index] = -1
             self.stats["requeues"] += 1
             self._record_fault("requeue", task.tag, worker.instance_id, reason)
             self.scheduler.task_ready(task, now)
@@ -947,8 +920,7 @@ class RuntimeEngine:
             model_interference=model_interference,
         )
         self.coherence = CoherenceDirectory()
-        #: struct-of-arrays mirror of the task population (state /
-        #: kernel / signature / worker / ready-time columns)
+        #: kernel and cost-signature interner for submitted tasks
         self.task_table = TaskTable()
         self.scheduler: Scheduler = (
             scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
@@ -1161,11 +1133,9 @@ class RuntimeEngine:
         clock = loop.clock
 
         # seed: initially-ready tasks and all workers
-        table = self.task_table
         for task in self._tasks:
             if task.ready:
                 task.state = TaskState.READY
-                table.mark_ready(task.table_index, 0.0)
                 self.scheduler.task_ready(task, 0.0)
         for worker in self.workers:
             clock.schedule_call(0.0, loop._tick, worker)
@@ -1757,8 +1727,6 @@ class RuntimeEngine:
                 task.state = TaskState.DONE
                 task.worker_id = worker.instance_id
                 task.start_time, task.end_time = start, end
-                worker.busy_time += end - start
-                worker.tasks_executed += 1
                 pending[0] -= 1
                 progress.note()
                 trace.record_task(

@@ -13,24 +13,17 @@ from typing import Callable, Optional
 
 from repro.errors import RuntimeEngineError
 
-__all__ = ["EventQueue", "NO_ARG"]
-
-#: sentinel marking an event scheduled without an argument
-NO_ARG = object()
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Priority queue of ``(time, callback)`` events with a current clock.
+    """Priority queue of ``(time, callback, arg)`` events with a current clock.
 
-    Two scheduling lanes share one heap (and therefore one total order):
-
-    * :meth:`schedule_at` / :meth:`schedule_in` take a zero-argument
-      callable — the historical closure-based API;
-    * :meth:`schedule_call` / :meth:`schedule_call_in` take a callable
-      plus one argument, stored as a typed 4-tuple.  The hot loop of the
-      vectorized engine uses this lane to avoid allocating a lambda per
-      event (worker ticks, task completions), which is a measurable
-      fraction of per-event cost at million-task scale.
+    :meth:`schedule_call` / :meth:`schedule_call_in` store a callable
+    plus its one argument as a typed heap entry, so the hot loop
+    (worker ticks, task completions) allocates no closure per event,
+    which is a measurable fraction of per-event cost at million-task
+    scale.
     """
 
     def __init__(self):
@@ -48,23 +41,8 @@ class EventQueue:
                 f"cannot schedule event at {when} before current time {self._now}"
             )
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute time ``when``."""
-        self._check_time(when)
-        heapq.heappush(self._heap, (when, next(self._seq), callback, NO_ARG))
-
-    def schedule_in(self, delay: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise RuntimeEngineError(f"negative delay {delay}")
-        self.schedule_at(self._now + delay, callback)
-
     def schedule_call(self, when: float, callback: Callable, arg) -> None:
-        """Schedule ``callback(arg)`` at absolute time ``when``.
-
-        Closure-free lane: the argument rides in the heap entry instead
-        of being captured in a lambda.
-        """
+        """Schedule ``callback(arg)`` at absolute time ``when``."""
         self._check_time(when)
         heapq.heappush(self._heap, (when, next(self._seq), callback, arg))
 
@@ -80,10 +58,7 @@ class EventQueue:
             return False
         when, _, callback, arg = heapq.heappop(self._heap)
         self._now = when
-        if arg is NO_ARG:
-            callback()
-        else:
-            callback(arg)
+        callback(arg)
         return True
 
     def run(self, *, until: Optional[float] = None, max_events: int = 10_000_000) -> float:

@@ -17,8 +17,6 @@ import itertools
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import RuntimeEngineError
 from repro.runtime.coherence import AccessMode
 from repro.runtime.data import DataHandle
@@ -95,7 +93,7 @@ class RuntimeTask:
         "id", "kernel", "accesses", "dims", "args", "priority", "tag",
         "state", "depends_on", "dependents", "_unfinished_deps",
         "worker_id", "start_time", "end_time",
-        "table_index", "kind_id", "cost_sig",
+        "kind_id", "cost_sig",
         "attempt", "incarnation", "fault_armed", "last_error",
     )
 
@@ -141,7 +139,6 @@ class RuntimeTask:
         self.end_time: Optional[float] = None
 
         # filled by TaskTable.add for engine-managed tasks
-        self.table_index: Optional[int] = None
         self.kind_id: Optional[int] = None
         self.cost_sig: Optional[int] = None
 
@@ -225,140 +222,57 @@ class _SignatureProbe(NamedTuple):
     dims: tuple
 
 
-# numeric task-state codes for the SoA table (stable, part of the
-# introspection payload; do not renumber)
-_STATE_CODE = {
-    TaskState.BLOCKED: 0,
-    TaskState.READY: 1,
-    TaskState.RUNNING: 2,
-    TaskState.DONE: 3,
-    TaskState.FAILED: 4,
-}
-
-
 class TaskTable:
-    """Struct-of-arrays mirror of the engine's task population.
+    """Interner for the engine's kernel names and cost signatures.
 
-    Columns (one row per submitted task, indexed by ``task.table_index``):
-
-    ``state``
-        int8 task-state code (``_STATE_CODE`` order).
-    ``kernel_id`` / ``sig_id``
-        interned kernel name / cost signature (:func:`task_signature`).
-    ``worker``
-        int32 index of the worker the task ran on (-1 while unplaced).
-    ``ready_time``
-        sim seconds at which the task became ready (NaN until then).
-    ``priority``
-        float64 copy of the task's priority (scheduler tie-break).
-
-    The table is bookkeeping the vectorized engine reads in bulk —
-    signature interning feeds the batched cost rows, the state column
-    feeds cheap population counts — while scalar per-task objects remain
-    the API surface.  Updates are O(1) array stores.
-
-    Rows not yet handed out are pre-filled with a fresh task's values
-    (BLOCKED, worker -1, NaN ready time, priority 0), also when the
-    columns grow, so :meth:`add` stores only the interned kernel and
-    signature ids plus any state or priority that differs.
+    :meth:`add` gives every submitted task a kernel id (``kind_id``, the
+    row of the vectorized engine's support matrix) and a cost-signature
+    id (``cost_sig``, :func:`task_signature`), under which the
+    vectorized cost model memoizes one execution row per signature.
+    :meth:`signature_id` interns a signature for a task the engine does
+    not own.  Both share one id space, and the first task (or probe)
+    seen with a signature stays its representative, the cost-row probe.
+    Task state lives on the tasks themselves; what happened lives in
+    the trace.
     """
 
-    _GROW = 1024
-
     def __init__(self):
-        self._n = 0
-        cap = self._GROW
-        self.state = np.zeros(cap, dtype=np.int8)
-        self.kernel_id = np.zeros(cap, dtype=np.int32)
-        self.sig_id = np.zeros(cap, dtype=np.int32)
-        self.worker = np.full(cap, -1, dtype=np.int32)
-        self.ready_time = np.full(cap, np.nan, dtype=np.float64)
-        self.priority = np.zeros(cap, dtype=np.float64)
         self._kernels: dict[str, int] = {}
         self.kernel_names: list[str] = []
         self._sigs: dict[tuple, int] = {}
         #: sig id → one task (or bare probe) carrying that signature, the
         #: cost-row probe
-        self.sig_representative: list[RuntimeTask] = []
+        self.sig_representative: list = []
 
-    def __len__(self) -> int:
-        return self._n
+    def _intern(self, sig: tuple, representative) -> int:
+        sid = self._sigs.get(sig)
+        if sid is None:
+            sid = len(self.sig_representative)
+            self._sigs[sig] = sid
+            self.sig_representative.append(representative)
+        return sid
 
-    def _grow(self) -> None:
-        """Double every column; new rows get the fresh-task values."""
-        for name in ("state", "kernel_id", "sig_id", "worker", "ready_time", "priority"):
-            old = getattr(self, name)
-            grown = np.zeros(len(old) * 2, dtype=old.dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-        self.worker[self._n :] = -1
-        self.ready_time[self._n :] = np.nan
-
-    def add(self, task: RuntimeTask) -> int:
-        """Intern ``task``; sets ``task.table_index``/``sig_id``/``kind_id``."""
-        if self._n == len(self.state):
-            self._grow()
-        i = self._n
-        self._n += 1
+    def add(self, task: RuntimeTask) -> None:
+        """Intern ``task``; sets ``task.kind_id`` and ``task.cost_sig``."""
         kid = self._kernels.get(task.kernel)
         if kid is None:
             kid = len(self.kernel_names)
             self._kernels[task.kernel] = kid
             self.kernel_names.append(task.kernel)
-        sig = task_signature(task)
-        sid = self._sigs.get(sig)
-        if sid is None:
-            sid = len(self.sig_representative)
-            self._sigs[sig] = sid
-            self.sig_representative.append(task)
-        # a fresh row already reads BLOCKED, unplaced, NaN, priority 0
-        if task.state is not TaskState.BLOCKED:
-            self.state[i] = _STATE_CODE[task.state]
-        if task.priority:
-            self.priority[i] = task.priority
-        self.kernel_id[i] = kid
-        self.sig_id[i] = sid
-        task.table_index = i
         task.kind_id = kid
-        task.cost_sig = sid
-        return i
+        task.cost_sig = self._intern(task_signature(task), task)
 
     def signature_id(self, kernel: str, dims: tuple) -> int:
-        """Intern a ``(kernel, dims)`` cost signature without adding a row.
-
-        For tasks the engine scores but does not own (the serving front
-        end's requests): the signature is represented by a bare
+        """Intern a ``(kernel, dims)`` cost signature for a task the
+        engine scores but does not own (the serving front end's
+        requests): a new signature is represented by a bare
         ``_SignatureProbe``, so no such task outlives its run.
         """
         sig = (kernel, tuple(dims))
         sid = self._sigs.get(sig)
         if sid is None:
-            sid = len(self.sig_representative)
-            self._sigs[sig] = sid
-            self.sig_representative.append(_SignatureProbe(*sig))
+            sid = self._intern(sig, _SignatureProbe(*sig))
         return sid
-
-    # -- O(1) column stores, called from the engine's hot path ---------
-    def set_state(self, index: int, state: TaskState) -> None:
-        self.state[index] = _STATE_CODE[state]
-
-    def mark_ready(self, index: int, now: float) -> None:
-        self.state[index] = 1
-        self.ready_time[index] = now
-
-    def assign(self, index: int, worker_index: int) -> None:
-        self.worker[index] = worker_index
-
-    # -- bulk views ----------------------------------------------------
-    def state_counts(self) -> dict[str, int]:
-        """Task-state name → population count (one bincount)."""
-        counts = np.bincount(self.state[: self._n], minlength=len(_STATE_CODE))
-        return {
-            state.value: int(counts[code]) for state, code in _STATE_CODE.items()
-        }
-
-    def signature_count(self) -> int:
-        return len(self.sig_representative)
 
 
 class DependencyTracker:

@@ -29,19 +29,12 @@ class WorkerContext:
 
     # -- simulation state ------------------------------------------------
     busy_until: float = 0.0
-    is_idle: bool = True
-    #: accumulated busy seconds (exec only, not transfers)
-    busy_time: float = 0.0
-    tasks_executed: int = 0
     #: lane died mid-run (worker fault); it never comes back, unlike an
     #: AVAILABLE=false lane that a PUOnline event can revive
     retired: bool = False
 
     def reset(self) -> None:
         self.busy_until = 0.0
-        self.is_idle = True
-        self.busy_time = 0.0
-        self.tasks_executed = 0
         self.retired = False
 
     def supports(self, registry: KernelRegistry, kernel: str) -> bool:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.errors import ServeError
+from repro.errors import KernelError, ServeError
 from repro.model.platform import Platform
 from repro.obs import spans as _obs
 from repro.perf.calibration import TASK_SCHEDULING_OVERHEAD_S
@@ -293,9 +293,11 @@ class ServeEngine:
         self.rate_limiter.configure(tenant, rate_per_s, burst)
 
     def _fleet_supports(self, kernel: str) -> bool:
+        # an unknown kernel is shed; any other registry failure is a bug
+        # and propagates
         try:
             kernel_def = self.registry.get(kernel)
-        except Exception:
+        except KernelError:
             return False
         return any(
             kernel_def.supports(w.architecture) for w in self.workers

@@ -357,7 +357,6 @@ class Session:
         processes: Optional[int] = None,
         mp_context: Optional[str] = None,
         tuning_path=None,
-        vectorized: bool = True,
     ):
         """Design-space exploration: synthesize a platform family under a
         budget, score every candidate, rank the Pareto frontier.
@@ -384,7 +383,6 @@ class Session:
                 processes=processes,
                 mp_context=mp_context,
                 tuning_path=tuning_path,
-                vectorized=vectorized,
             )
             self.last_exploration = report
             return report

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from repro.errors import RuntimeEngineError
 from repro.runtime.coherence import AccessMode
 from repro.runtime.data import DataHandle
-from repro.runtime.tasks import DependencyTracker, RuntimeTask, TaskState
+from repro.runtime.tasks import DependencyTracker, RuntimeTask
 
 
 def handles(n):
@@ -244,92 +244,33 @@ class TestTaskTable:
         t3 = self._task(shape=(32, 32))
         for t in (t1, t2, t3):
             table.add(t)
-        assert len(table) == 3
         assert t1.kind_id == t2.kind_id == t3.kind_id  # one kernel
         assert t1.cost_sig == t2.cost_sig  # same effective dims
         assert t3.cost_sig != t1.cost_sig
-        assert table.signature_count() == 2
+        assert len(table.sig_representative) == 2
         assert table.sig_representative[t1.cost_sig] is t1
 
-    def test_add_assigns_sequential_indices(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        tasks = [self._task() for _ in range(5)]
-        for i, t in enumerate(tasks):
-            assert table.add(t) == i
-            assert t.table_index == i
-
-    def test_capacity_doubles_transparently(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        n = TaskTable._GROW + 10
-        for _ in range(n):
-            table.add(self._task())
-        assert len(table) == n
-        assert int(table.worker[n - 1]) == -1
-        import numpy as np
-
-        assert np.isnan(table.ready_time[n - 1])
-
-    def test_rows_start_fresh_across_growth(self):
-        """``add`` stores only what differs from a fresh task, so every
-        row handed out — before and after the columns grow — must read
-        BLOCKED, unplaced, NaN and priority 0, or carry the task's own
-        non-default state and priority."""
-        import numpy as np
-
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        n = 2 * TaskTable._GROW + 5
-        tasks = []
-        for i in range(n):
-            t = RuntimeTask("dgemm", [(DataHandle(shape=(4,)), "rw")], priority=i % 3)
-            if i % 7 == 0:
-                t.state = TaskState.READY
-            table.add(t)
-            tasks.append(t)
-        assert len(table.state) > n
-        for t in tasks:
-            i = t.table_index
-            want_state = 1 if t.state is TaskState.READY else 0
-            assert int(table.state[i]) == want_state
-            assert float(table.priority[i]) == t.priority
-            assert int(table.worker[i]) == -1
-            assert np.isnan(table.ready_time[i])
-        assert (table.state[n:] == 0).all() and (table.priority[n:] == 0).all()
-        assert (table.worker[n:] == -1).all() and np.isnan(table.ready_time[n:]).all()
-
-    def test_state_transitions_and_counts(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        tasks = [self._task() for _ in range(4)]
-        for t in tasks:
-            table.add(t)
-        counts = table.state_counts()
-        assert counts["blocked"] == 4
-        table.mark_ready(tasks[0].table_index, now=1.5)
-        table.set_state(tasks[1].table_index, TaskState.RUNNING)
-        table.set_state(tasks[2].table_index, TaskState.DONE)
-        counts = table.state_counts()
-        assert counts["ready"] == 1
-        assert counts["running"] == 1
-        assert counts["done"] == 1
-        assert counts["blocked"] == 1
-        assert table.ready_time[tasks[0].table_index] == 1.5
-
-    def test_assign_records_worker(self):
+    def test_signature_id_shares_ids_with_add(self):
+        """A submitted task and a bare ``signature_id`` probe with the
+        same (kernel, dims) share one id, whichever comes first; the
+        first representative is kept."""
         from repro.runtime.tasks import TaskTable
 
         table = TaskTable()
         t = self._task()
         table.add(t)
-        assert int(table.worker[t.table_index]) == -1
-        table.assign(t.table_index, 7)
-        assert int(table.worker[t.table_index]) == 7
+        assert table.signature_id("dgemm", (64, 64)) == t.cost_sig
+        assert table.sig_representative[t.cost_sig] is t
+
+        sid = table.signature_id("dgemm", [32, 32])
+        assert sid != t.cost_sig
+        probe = table.sig_representative[sid]
+        assert (probe.kernel, probe.dims) == ("dgemm", (32, 32))
+        late = self._task(shape=(32, 32))
+        table.add(late)
+        assert late.cost_sig == sid
+        assert table.sig_representative[sid] is probe
+        assert len(table.sig_representative) == 2
 
     def test_explicit_task_id_minting(self):
         """Engine-local ids: two engines submitting the same DAG mint

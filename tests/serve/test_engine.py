@@ -128,6 +128,31 @@ class TestAdmission:
         assert report.totals["shed"] == 1
         assert report.totals["completed"] == 1
 
+    def test_registry_failure_is_raised_not_shed(self, platform):
+        from repro.kernels.registry import default_kernel_registry
+        from repro.serve.request import TaskRequest
+
+        class BrokenRegistry:
+            """The default kernels, but one lookup hits a registry bug."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def get(self, name):
+                if name == "broken":
+                    raise RuntimeError("registry backend down")
+                return self._inner.get(name)
+
+            def __getattr__(self, attr):
+                return getattr(self._inner, attr)
+
+        registry = BrokenRegistry(default_kernel_registry())
+        arrivals = [
+            TaskRequest(arrival_s=0.0, tenant="a", kernel="broken", dims=(8,)),
+        ]
+        with pytest.raises(RuntimeError, match="registry backend down"):
+            ServeEngine(platform, registry=registry).run(arrivals)
+
 
 class TestAutoscaling:
     def test_fleet_grows_under_load_and_drains_after(self, platform):
