@@ -10,15 +10,10 @@ the wire — queries (:mod:`repro.query`), structural diffs
 (:mod:`repro.pdl.diff`) and batched Cascabel variant pre-selection
 (:mod:`repro.cascabel.selection`).
 
-Since the sharded redesign the registry also scales *out*: a
-consistent-hash :class:`ClusterMap` shards blobs by digest and tags by
-name across independent :class:`RegistryServer` nodes, each optionally
-trailed by oplog-fed read replicas (:class:`RegistryCluster` launches a
-topology; :class:`ClusterClient`/:class:`AsyncClusterClient` route by
-placement).  :class:`AsyncRegistryClient` is the primary client —
-pooled, coalescing, immutable-digest caching — with
-:class:`RegistryClient` as its generated blocking facade; both take a
-:class:`RegistryEndpoint`.
+One server process holds one store.  :class:`AsyncRegistryClient` is
+the primary client — pooled, coalescing, immutable-digest caching —
+with :class:`RegistryClient` as its generated blocking facade; both
+take a :class:`RegistryEndpoint`.
 
 Quick start::
 
@@ -29,22 +24,14 @@ Quick start::
         client.platforms()                   # tags -> digests
         client.preselect("xeon_x5550_2gpu", annotated_source)
 
-See ``docs/registry-service.md`` for the wire protocol, caching,
-overload and cluster-consistency semantics.
+See ``docs/registry-service.md`` for the wire protocol, caching
+and overload semantics.
 """
 
 from repro.service.async_client import AsyncRegistryClient, RegistryEndpoint
 from repro.service.cache import LRUCache, TTLCache
 from repro.service.client import RegistryClient
-from repro.service.cluster import (
-    AsyncClusterClient,
-    ClusterClient,
-    ClusterMap,
-    RegistryCluster,
-    ShardSpec,
-)
 from repro.service.metrics import ServiceMetrics, percentile
-from repro.service.ring import HashRing
 from repro.service.server import RegistryServer, ServerThread, ServiceConfig
 from repro.service.store import DescriptorStore, PublishResult
 
@@ -61,10 +48,4 @@ __all__ = [
     "RegistryClient",
     "RegistryEndpoint",
     "AsyncRegistryClient",
-    "HashRing",
-    "ShardSpec",
-    "ClusterMap",
-    "RegistryCluster",
-    "AsyncClusterClient",
-    "ClusterClient",
 ]

@@ -1,8 +1,8 @@
 """Asynchronous registry client: pooling, coalescing, immutable caching.
 
-This is the registry's primary client since the sharded redesign; the
-blocking :class:`~repro.service.client.RegistryClient` is generated
-from it.  Three properties make it fast under fan-out load:
+This is the registry's primary client; the blocking
+:class:`~repro.service.client.RegistryClient` is generated from it.
+Three properties make it fast under fan-out load:
 
 * **Connection pooling** — keep-alive HTTP/1.1 connections per endpoint
   (bounded by ``pool_size``), so a burst of requests costs one TCP
@@ -19,7 +19,7 @@ from it.  Three properties make it fast under fan-out load:
 
 Endpoints are described by :class:`RegistryEndpoint`, the one
 client-construction currency shared by the sync facade, the async
-client, the cluster client and ``Session(registry=...)``.
+client and ``Session(registry=...)``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from urllib.parse import urlencode, urlsplit
 from repro.errors import ServiceError
 from repro.model.platform import Platform
 from repro.obs import spans as _obs
-from repro.pdl.catalog import content_digest, is_full_digest, parse_cached
+from repro.pdl.catalog import is_full_digest, parse_cached
 from repro.pdl.writer import write_pdl
 from repro.runtime.faults import FaultPolicy
 from repro.service import protocol
@@ -67,8 +67,8 @@ class RegistryEndpoint:
     """Where and how to talk to one registry node.
 
     The single entry-point currency for every client flavor: sync,
-    async, cluster, and ``Session(registry=...)`` all accept one of
-    these (or a URL string, which :meth:`parse` normalizes); timeouts,
+    async and ``Session(registry=...)`` all accept one of these
+    (or a URL string, which :meth:`parse` normalizes); timeouts,
     retry and cache sizing live here rather than on each client.
 
     ``retry_policy=None`` disables 429 retry entirely (each overload
@@ -239,42 +239,7 @@ class _ConnectionPool:
             writer.close()
 
 
-class _ClientCompositions:
-    """Operations composed client-side from ``fetch`` and
-    ``preselect_batch``; shared by :class:`AsyncRegistryClient` and
-    :class:`~repro.service.cluster.AsyncClusterClient`, each of which
-    routes those two building blocks its own way."""
-
-    async def platform(self, ref: str) -> Platform:
-        """Fetch and parse a descriptor (digest-keyed parse cache applies)."""
-        record = await self.fetch(ref)
-        return parse_cached(
-            record["xml"], digest=record["digest"], name=record["name"]
-        )
-
-    async def preselect(
-        self,
-        platform_ref: str,
-        source: str,
-        *,
-        expert_variants: bool = False,
-        require_fallback: bool = True,
-    ) -> dict:
-        """Pre-select one program; returns ``{"cached", "report"}``."""
-        results = await self.preselect_batch(
-            platform_ref,
-            [
-                {
-                    "source": source,
-                    "expert_variants": expert_variants,
-                    "require_fallback": require_fallback,
-                }
-            ],
-        )
-        return results[0]
-
-
-class AsyncRegistryClient(_ClientCompositions):
+class AsyncRegistryClient:
     """Asyncio registry client bound to one :class:`RegistryEndpoint`.
 
     All coroutines must run on one event loop (the loop the first
@@ -530,25 +495,6 @@ class AsyncRegistryClient(_ClientCompositions):
         self._tag_cache.invalidate(name)
         return payload
 
-    async def put_blob(
-        self, xml_text: Union[str, bytes], *, strict_lint: bool = False
-    ) -> dict:
-        """Content-addressed tagless write (the cluster's blob path).
-
-        The digest is computed locally from the canonical serialization
-        so the caller can route the blob before any server round trip.
-        """
-        if isinstance(xml_text, bytes):
-            xml_text = xml_text.decode("utf-8")
-        canonical = write_pdl(parse_cached(xml_text))
-        digest = content_digest(canonical)
-        return await self.request(
-            "PUT",
-            protocol.route_path("blob_put", digest=digest),
-            body=canonical.encode("utf-8"),
-            params={"strict": "1"} if strict_lint else None,
-        )
-
     async def fetch(self, ref: str) -> dict:
         """``{"ref", "digest", "name", "xml"}`` of a stored version.
 
@@ -635,13 +581,33 @@ class AsyncRegistryClient(_ClientCompositions):
         )
         return payload["results"]
 
-    async def oplog(self, since: int = 0, *, limit: int = 1000) -> dict:
-        """Replication pull: ops after ``since`` plus the primary head."""
-        return await self.request(
-            "GET",
-            protocol.route_path("oplog"),
-            params={"since": str(since), "limit": str(limit)},
+    async def platform(self, ref: str) -> Platform:
+        """Fetch and parse a descriptor (digest-keyed parse cache applies)."""
+        record = await self.fetch(ref)
+        return parse_cached(
+            record["xml"], digest=record["digest"], name=record["name"]
         )
+
+    async def preselect(
+        self,
+        platform_ref: str,
+        source: str,
+        *,
+        expert_variants: bool = False,
+        require_fallback: bool = True,
+    ) -> dict:
+        """Pre-select one program; returns ``{"cached", "report"}``."""
+        results = await self.preselect_batch(
+            platform_ref,
+            [
+                {
+                    "source": source,
+                    "expert_variants": expert_variants,
+                    "require_fallback": require_fallback,
+                }
+            ],
+        )
+        return results[0]
 
     # -- tuning profiles -----------------------------------------------------
     async def profiles(self) -> list:

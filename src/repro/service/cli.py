@@ -9,19 +9,11 @@ Subcommands::
     repro registry preselect <platform-ref> <program.c> --url URL
     repro registry diff <old-ref> <new-ref> --url URL
     repro registry metrics --url URL
-    repro registry cluster serve --shards N --replicas R --map-file F
-    repro registry cluster status --map-file F
 
 ``serve`` runs the asyncio server in the foreground (seeded with the
-shipped catalog unless ``--no-seed``); every other single-node
-subcommand is a thin :class:`~repro.service.client.RegistryClient` call
-against ``--url``.
-
-``cluster serve`` launches an N-shard × R-replica topology (every node a
-full registry server with its own store and port), writes the
-:class:`~repro.service.cluster.ClusterMap` to ``--map-file`` and serves
-until interrupted (or ``--run-seconds``); ``cluster status`` reads a map
-file and reports per-shard blob/tag counts and replication lag.
+shipped catalog unless ``--no-seed``); every other subcommand is a
+thin :class:`~repro.service.client.RegistryClient` call against
+``--url``.
 """
 
 from __future__ import annotations
@@ -99,39 +91,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     diff.add_argument("new")
 
     client_parser("metrics", "print the service metrics snapshot")
-
-    cluster = sub.add_parser(
-        "cluster", help="sharded/replicated registry topologies"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cserve = cluster_sub.add_parser(
-        "serve", help="launch an N-shard x R-replica topology (foreground)"
-    )
-    cserve.add_argument("--shards", type=int, default=4)
-    cserve.add_argument("--replicas", type=int, default=0)
-    cserve.add_argument("--host", default="127.0.0.1")
-    cserve.add_argument(
-        "--map-file",
-        required=True,
-        help="write the cluster map (JSON) here for clients",
-    )
-    cserve.add_argument(
-        "--no-seed",
-        action="store_true",
-        help="do not publish the shipped catalog through the cluster",
-    )
-    cserve.add_argument(
-        "--run-seconds",
-        type=float,
-        default=None,
-        help="serve for a fixed duration then exit (default: until Ctrl-C)",
-    )
-
-    cstatus = cluster_sub.add_parser(
-        "status", help="report shard sizes and replication lag"
-    )
-    cstatus.add_argument("--map-file", required=True, help="cluster map JSON")
     return parser
 
 
@@ -163,85 +122,11 @@ def _serve(args) -> int:
     return 0
 
 
-def _cluster_serve(args) -> int:
-    import time
-
-    from repro.service.cluster import RegistryCluster
-
-    cluster = RegistryCluster(
-        shards=args.shards,
-        replicas=args.replicas,
-        host=args.host,
-        seed_catalog=not args.no_seed,
-    )
-    cluster_map = cluster.start()
-    try:
-        cluster_map.save(args.map_file)
-        print(
-            f"repro-registry cluster serving {args.shards} shard(s)"
-            f" x {args.replicas} replica(s); map written to {args.map_file}",
-            flush=True,
-        )
-        for spec in cluster_map.shards:
-            extra = f" (+{len(spec.replicas)} replicas)" if spec.replicas else ""
-            print(f"  {spec.shard_id}: {spec.primary}{extra}", flush=True)
-        try:
-            if args.run_seconds is not None:
-                time.sleep(args.run_seconds)
-            else:
-                while True:
-                    time.sleep(3600)
-        except KeyboardInterrupt:
-            print("cluster stopped", file=sys.stderr)
-    finally:
-        cluster.stop()
-    return 0
-
-
-def _cluster_status(args) -> int:
-    from repro.service.cluster import ClusterClient
-
-    client = ClusterClient(args.map_file)
-    try:
-        status = client.status()
-    finally:
-        client.close()
-    for shard in status["shards"]:
-        print(
-            f"{shard['id']}: {shard['primary']}"
-            f"  blobs={shard['blobs']} tags={shard['tags']}"
-            f" oplog_head={shard['oplog_head']}"
-        )
-        for replica in shard["replicas"]:
-            print(
-                f"  replica {replica['url']}"
-                f"  applied_seq={replica['applied_seq']} lag={replica['lag']}"
-            )
-    print(f"converged: {status['converged']}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
 
     if args.command == "serve":
         return _serve(args)
-
-    if args.command == "cluster":
-        try:
-            if args.cluster_command == "serve":
-                return _cluster_serve(args)
-            if args.cluster_command == "status":
-                return _cluster_status(args)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        raise AssertionError(
-            f"unhandled cluster command {args.cluster_command!r}"
-        )
 
     from repro.service.client import RegistryClient
 

@@ -12,7 +12,7 @@ client span under the caller's active span.
 
 Construction takes a base URL *or* a
 :class:`~repro.service.async_client.RegistryEndpoint` — the unified
-entry-point object shared with the async and cluster clients and with
+entry-point object shared with the async client and with
 ``Session(registry=...)``.  Timeout, retry policy and cache sizes are
 endpoint fields, read back through ``client.endpoint``.
 

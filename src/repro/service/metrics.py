@@ -22,7 +22,6 @@ from repro.obs.digest import (
     digest_summary,
     fingerprint_payload,
     latency_buckets,
-    merge_digest_summaries,
     percentile,
 )
 
@@ -118,62 +117,15 @@ class ServiceMetrics:
                     "depth": self.queue_depth,
                     "high_water": self.queue_high_water,
                 },
-                # the buckets ride along so per-shard snapshots stay
-                # *mergeable*: cluster fan-in adds histograms and
-                # re-derives p50/p99 instead of averaging percentiles
+                # the buckets ship so a reader can re-derive any
+                # percentile, or add this histogram to another node's
+                # (obs.digest.merge_digest_summaries), instead of
+                # averaging p50/p99
                 "latency_s": {
                     **digest_summary(samples),
                     "buckets": latency_buckets(samples),
                 },
             }
-
-    @staticmethod
-    def merge_snapshots(snapshots: list) -> dict:
-        """Aggregate per-node ``snapshot()`` payloads into one cluster
-        view: counters add, cache ratios are recomputed from summed
-        hits/misses, and latency percentiles come from the **merged
-        histogram** (see :func:`repro.obs.digest.merge_digest_summaries`)
-        — never from averaging per-node percentiles, which under-reports
-        any hot shard's tail.
-        """
-        merged: dict = {
-            "nodes": len(snapshots),
-            "requests_total": 0,
-            "errors_total": 0,
-            "overloads_total": 0,
-            "by_endpoint": Counter(),
-            "by_status": Counter(),
-            "queue": {"depth": 0, "high_water": 0},
-        }
-        caches = {
-            "platform_cache": {"hits": 0, "misses": 0},
-            "preselect_cache": {"hits": 0, "misses": 0},
-        }
-        for snap in snapshots:
-            merged["requests_total"] += snap.get("requests_total", 0)
-            merged["errors_total"] += snap.get("errors_total", 0)
-            merged["overloads_total"] += snap.get("overloads_total", 0)
-            merged["by_endpoint"].update(snap.get("by_endpoint", {}))
-            merged["by_status"].update(snap.get("by_status", {}))
-            queue = snap.get("queue", {})
-            merged["queue"]["depth"] += queue.get("depth", 0)
-            merged["queue"]["high_water"] += queue.get("high_water", 0)
-            for cache_name, sums in caches.items():
-                block = snap.get(cache_name, {})
-                sums["hits"] += block.get("hits", 0)
-                sums["misses"] += block.get("misses", 0)
-        for cache_name, sums in caches.items():
-            total = sums["hits"] + sums["misses"]
-            merged[cache_name] = {
-                **sums,
-                "hit_ratio": sums["hits"] / total if total else None,
-            }
-        merged["by_endpoint"] = dict(merged["by_endpoint"])
-        merged["by_status"] = dict(merged["by_status"])
-        merged["latency_s"] = merge_digest_summaries(
-            [snap.get("latency_s", {"count": 0}) for snap in snapshots]
-        )
-        return merged
 
     def to_payload(self) -> dict:
         """Alias of :meth:`snapshot` — the uniform report-object verb

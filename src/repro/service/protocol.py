@@ -31,9 +31,8 @@ Route table
 dispatch patterns from it, and both the async client and the sync facade
 build request paths through :func:`route_path` — no string-literal paths
 scattered across modules.  Each route carries its metrics *label*
-(``"GET /platforms/{ref}"``), whether it bypasses admission control
-(``gated``) and whether it mutates state (``write`` — the set a read
-replica refuses).
+(``"GET /platforms/{ref}"``) and whether it bypasses admission control
+(``gated``).
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ __all__ = [
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
-#: current protocol generation (2 = sharded/replicated registry: blob
-#: puts, tag directory, oplog replication); 1 = the PR 2 wire format
+#: current protocol generation (2 adds ``GET /tags/{name}``); 1 = the
+#: original wire format
 PROTOCOL_VERSION = 2
 #: versions this build can serve/speak
 SUPPORTED_PROTOCOLS = (1, 2)
@@ -91,7 +90,6 @@ STATUS_PHRASES = {
     200: "OK",
     201: "Created",
     400: "Bad Request",
-    403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
@@ -106,14 +104,12 @@ STATUS_PHRASES = {
 class Route:
     """One wire endpoint, shared by server dispatch and client path
     building.  ``template`` uses ``{param}`` placeholders; ``gated``
-    routes count against admission control; ``write`` routes mutate the
-    store and are refused by read replicas."""
+    routes count against admission control."""
 
     name: str
     method: str
     template: str
     gated: bool = True
-    write: bool = False
 
     @property
     def label(self) -> str:
@@ -138,21 +134,17 @@ ROUTES: tuple = (
     Route("health", "GET", "/healthz", gated=False),
     Route("metrics", "GET", "/metrics", gated=False),
     Route("list", "GET", "/platforms"),
-    Route("publish", "PUT", "/platforms/{name}", write=True),
+    Route("publish", "PUT", "/platforms/{name}"),
     Route("fetch", "GET", "/platforms/{ref}"),
-    Route("delete_tag", "DELETE", "/platforms/{name}", write=True),
+    Route("delete_tag", "DELETE", "/platforms/{name}"),
     Route("query", "GET", "/platforms/{ref}/query"),
     Route("resolve", "GET", "/tags/{name}"),
-    Route("retag", "POST", "/tags", write=True),
+    Route("retag", "POST", "/tags"),
     Route("lint", "POST", "/lint"),
     Route("diff", "POST", "/diff"),
     Route("preselect", "POST", "/preselect"),
-    Route("blob_put", "PUT", "/blobs/{digest}", write=True),
-    # replicas poll this even while the primary sheds load, so it is
-    # exempt from admission control like the health/metrics plane
-    Route("oplog", "GET", "/oplog", gated=False),
     Route("profiles_list", "GET", "/profiles"),
-    Route("profile_put", "PUT", "/profiles/{ref}", write=True),
+    Route("profile_put", "PUT", "/profiles/{ref}"),
     Route("profile_get", "GET", "/profiles/{ref}"),
 )
 
@@ -227,7 +219,6 @@ _CODE_MAP: dict = {
     "protocol-mismatch": ProtocolMismatchError,
     "bad-request": ServiceProtocolError,
     "service-error": ServiceError,
-    "read-only-replica": ServiceError,
     "lint-error": LintError,
     "selection-error": SelectionError,
     "repository-error": RepositoryError,

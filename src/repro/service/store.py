@@ -23,22 +23,6 @@ Hot paths
 
 All operations are thread-safe; the store is shared by the asyncio
 server's worker threads and any in-process callers.
-
-Cluster hooks
--------------
-Three optional behaviours back :mod:`repro.service.cluster`:
-
-* ``record_ops=True`` keeps an ordered **oplog** of every mutation
-  (blob puts, tag moves/deletes, profile puts).  Because blobs are
-  immutable and content-addressed, the log is tiny in kind-count: tag
-  moves are the only entries whose *order* matters, and replaying the
-  log in sequence reproduces the store exactly — which is all a read
-  replica does (:meth:`DescriptorStore.apply_ops`).
-* ``tag_directory=True`` lets tags point at full digests whose blobs
-  live on *another* shard (the cluster client stores blobs by digest
-  ring position and tag records by name ring position).
-* :meth:`put_blob` stores a canonical document with no tag attached —
-  the cluster's content-addressed write path.
 """
 
 from __future__ import annotations
@@ -52,7 +36,6 @@ from repro.model.platform import Platform
 from repro.pdl.catalog import (
     available_platforms,
     content_digest,
-    is_full_digest,
     parse_cached,
     platform_path,
 )
@@ -97,11 +80,8 @@ class DescriptorStore:
         platform_cache_size: int = 64,
         preselect_cache_size: int = 256,
         metrics: Optional[ServiceMetrics] = None,
-        record_ops: bool = False,
-        tag_directory: bool = False,
     ):
         self.metrics = metrics or ServiceMetrics()
-        self.tag_directory = tag_directory
         self._lock = threading.RLock()
         self._blobs: dict[str, str] = {}  # digest -> canonical XML
         self._tags: dict[str, str] = {}  # name -> digest
@@ -110,17 +90,6 @@ class DescriptorStore:
         #: platform digest -> tuning profile payload (TuningDatabase wire
         #: format restricted to that one platform)
         self._profiles: dict[str, dict] = {}
-        self._record_ops = record_ops
-        self._oplog: list[dict] = []  # ordered mutation log (replication)
-        self._applied_seq = 0  # replica side: last primary seq applied
-
-    def _append_op(self, kind: str, **fields) -> None:
-        """Append one mutation to the oplog.  Caller holds ``_lock``, so
-        sequence numbers are totally ordered with the mutations they
-        describe."""
-        if not self._record_ops:
-            return
-        self._oplog.append({"seq": len(self._oplog) + 1, "kind": kind, **fields})
 
     # -- publishing ---------------------------------------------------------
     def publish(
@@ -161,12 +130,9 @@ class DescriptorStore:
             created = digest not in self._blobs
             if created:
                 self._blobs[digest] = canonical
-                self._append_op("blob", digest=digest, xml=canonical)
             previous = self._tags.get(name)
             moved = previous is not None and previous != digest
             self._tags[name] = digest
-            if previous != digest:
-                self._append_op("tag", name=name, digest=digest)
         # warm the parse cache with the already-parsed document
         if digest not in self._platforms:
             self._platforms.put(digest, platform.copy())
@@ -174,74 +140,13 @@ class DescriptorStore:
             self._invalidate_preselect(previous)
         return PublishResult(name=name, digest=digest, created=created, moved=moved)
 
-    def put_blob(
-        self,
-        xml_text: Union[str, bytes],
-        *,
-        expect_digest: Optional[str] = None,
-        strict_lint: bool = False,
-    ) -> tuple[str, bool]:
-        """Store a canonical blob with **no tag** attached.
-
-        The cluster's content-addressed write path: the client computes
-        the canonical digest locally, sends the blob to its ring-owner
-        shard, and records the tag on the tag-owner shard separately.
-        ``expect_digest`` guards against routing a blob to the wrong
-        shard (client and server must canonicalize identically).
-        Returns ``(digest, created)``.
-        """
-        if isinstance(xml_text, bytes):
-            xml_text = xml_text.decode("utf-8")
-        platform = parse_cached(xml_text)
-        if strict_lint:
-            from repro.analysis.diagnostics import Severity
-
-            report = self._lint_platform(platform, expect_digest or "blob")
-            errors = report.at_least(Severity.ERROR)
-            if errors:
-                from repro.errors import LintError
-
-                raise LintError(
-                    f"strict lint rejected blob:"
-                    f" {len(errors)} error-severity finding(s)",
-                    diagnostics=[d.to_payload() for d in errors],
-                )
-        canonical = write_pdl(platform)
-        digest = content_digest(canonical)
-        if expect_digest is not None and digest != expect_digest:
-            from repro.errors import ServiceProtocolError
-
-            raise ServiceProtocolError(
-                f"blob canonicalizes to {digest[:12]}, not the addressed"
-                f" {expect_digest[:12]} — client/server canonicalization skew?"
-            )
-        with self._lock:
-            created = digest not in self._blobs
-            if created:
-                self._blobs[digest] = canonical
-                self._append_op("blob", digest=digest, xml=canonical)
-        if digest not in self._platforms:
-            self._platforms.put(digest, platform.copy())
-        return digest, created
-
     def retag(self, name: str, ref: str) -> PublishResult:
-        """Point tag ``name`` at an existing version (tag or digest ref).
-
-        In ``tag_directory`` mode a full 64-hex digest is accepted even
-        when its blob lives on another shard — the tag record is pure
-        directory state and the cluster client fetches the blob from its
-        ring owner.
-        """
-        if self.tag_directory and is_full_digest(ref):
-            digest = ref
-        else:
-            digest = self.resolve(ref)
+        """Point tag ``name`` at an existing version (tag or digest ref)."""
+        digest = self.resolve(ref)
         with self._lock:
             previous = self._tags.get(name)
             moved = previous is not None and previous != digest
             self._tags[name] = digest
-            if previous != digest:
-                self._append_op("tag", name=name, digest=digest)
         if moved:
             self._invalidate_preselect(previous)
         return PublishResult(name=name, digest=digest, created=False, moved=moved)
@@ -254,7 +159,6 @@ class DescriptorStore:
                 digest = self._tags.pop(name)
             except KeyError:
                 raise UnknownPlatformError(f"unknown platform tag {name!r}") from None
-            self._append_op("tag-del", name=name)
         self._invalidate_preselect(digest)
         return digest
 
@@ -300,14 +204,7 @@ class DescriptorStore:
         """Canonical XML of a stored version."""
         digest = self.resolve(ref)
         with self._lock:
-            try:
-                return self._blobs[digest]
-            except KeyError:
-                # tag-directory entry whose blob lives on another shard
-                raise UnknownPlatformError(
-                    f"blob {digest[:12]} is not stored on this shard"
-                    f" (tag-directory entry; fetch it from its ring owner)"
-                ) from None
+            return self._blobs[digest]
 
     def platform(self, ref: str) -> Platform:
         """Parsed :class:`Platform` for a stored version (LRU-cached).
@@ -473,7 +370,6 @@ class DescriptorStore:
         with self._lock:
             created = digest not in self._profiles
             self._profiles[digest] = normalized
-            self._append_op("profile", digest=digest, profile=normalized)
         return {
             "digest": digest,
             "samples": database.sample_count(digest),
@@ -508,90 +404,15 @@ class DescriptorStore:
             )
         return out
 
-    # -- replication --------------------------------------------------------
-    def oplog_head(self) -> int:
-        """Sequence number of the newest recorded op (0 when empty)."""
-        with self._lock:
-            return len(self._oplog)
-
-    def ops_since(self, seq: int, *, limit: int = 1000) -> tuple[list[dict], int]:
-        """Ops with sequence number > ``seq`` (at most ``limit``), plus
-        the current head.  A replica polls this until it has drained to
-        the head; a fresh replica bootstraps from ``seq=0``."""
-        with self._lock:
-            head = len(self._oplog)
-            start = max(0, int(seq))
-            return [dict(op) for op in self._oplog[start : start + limit]], head
-
-    def apply_ops(self, ops: list) -> int:
-        """Replica side: apply primary ops **in order**; returns the last
-        applied sequence number.
-
-        Blob puts are verified against their digest (a corrupted or
-        reordered blob op can never poison the content-addressed space);
-        tag ops land in directory mode so a tag may momentarily precede
-        its blob during bootstrap.  Application is idempotent — replaying
-        a window after a dropped poll is harmless.
-        """
-        for op in ops:
-            kind = op.get("kind")
-            seq = int(op.get("seq", 0))
-            if kind == "blob":
-                xml, digest = str(op["xml"]), str(op["digest"])
-                if content_digest(xml) != digest:
-                    from repro.errors import ServiceProtocolError
-
-                    raise ServiceProtocolError(
-                        f"replication blob op {seq} digest mismatch"
-                        f" (claimed {digest[:12]})"
-                    )
-                with self._lock:
-                    if digest not in self._blobs:
-                        self._blobs[digest] = xml
-            elif kind == "tag":
-                name, digest = str(op["name"]), str(op["digest"])
-                with self._lock:
-                    previous = self._tags.get(name)
-                    self._tags[name] = digest
-                if previous is not None and previous != digest:
-                    self._invalidate_preselect(previous)
-            elif kind == "tag-del":
-                with self._lock:
-                    digest = self._tags.pop(str(op["name"]), None)
-                if digest is not None:
-                    self._invalidate_preselect(digest)
-            elif kind == "profile":
-                with self._lock:
-                    self._profiles[str(op["digest"])] = dict(op["profile"])
-            else:
-                from repro.errors import ServiceProtocolError
-
-                raise ServiceProtocolError(
-                    f"unknown replication op kind {kind!r} (seq {seq})"
-                )
-            with self._lock:
-                self._applied_seq = max(self._applied_seq, seq)
-        return self._applied_seq
-
-    @property
-    def applied_seq(self) -> int:
-        """Last primary sequence number applied (replica side)."""
-        with self._lock:
-            return self._applied_seq
-
     # -- introspection ------------------------------------------------------
     def stats(self) -> dict:
         with self._lock:
             blobs, tags = len(self._blobs), len(self._tags)
             profiles = len(self._profiles)
-            oplog_head = len(self._oplog)
-            applied_seq = self._applied_seq
         return {
             "blobs": blobs,
             "tags": tags,
             "profiles": profiles,
-            "oplog_head": oplog_head,
-            "applied_seq": applied_seq,
             "platform_cache": {
                 "size": len(self._platforms),
                 "capacity": self._platforms.capacity,

@@ -57,10 +57,9 @@ class Session:
     lint:
         Default lint mode for :meth:`translate` (``off``/``warn``/``strict``).
     registry:
-        Optional platform registry: a base URL,
-        :class:`~repro.service.async_client.RegistryEndpoint`, a
-        :class:`~repro.service.cluster.ClusterMap`, or an existing
-        (sync) client object.  Platform refs that are not shipped
+        Optional platform registry: a base URL, a
+        :class:`~repro.service.async_client.RegistryEndpoint`, or an
+        existing (sync) client object.  Platform refs that are not shipped
         catalog names — registry tags, content digests — then resolve
         through :attr:`registry_client` transparently.
     """
@@ -119,23 +118,16 @@ class Session:
     @property
     def registry_client(self):
         """The session's registry client, built lazily from whatever the
-        ``registry=`` argument was (URL, endpoint, cluster map, or an
+        ``registry=`` argument was (URL, endpoint, or an
         already-constructed client)."""
         if self._registry is None:
             raise ValueError(
                 "Session has no registry: pass registry=... to Session(...)"
             )
         if self._registry_client is None:
-            from repro.service import (
-                ClusterClient,
-                ClusterMap,
-                RegistryClient,
-                RegistryEndpoint,
-            )
+            from repro.service import RegistryClient, RegistryEndpoint
 
-            if isinstance(self._registry, ClusterMap):
-                self._registry_client = ClusterClient(self._registry)
-            elif isinstance(self._registry, (str, RegistryEndpoint)):
+            if isinstance(self._registry, (str, RegistryEndpoint)):
                 self._registry_client = RegistryClient(self._registry)
             else:
                 self._registry_client = self._registry

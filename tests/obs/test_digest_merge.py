@@ -11,7 +11,6 @@ from repro.obs.digest import (
     percentile,
     percentile_from_buckets,
 )
-from repro.service.metrics import ServiceMetrics
 
 # two shards with very different latency populations: a big fast one and
 # a small slow one — the shape where averaging percentiles goes wrong
@@ -73,25 +72,3 @@ class TestMergeSummaries:
         assert merged["count"] == len(SLOW)
         assert merged["p99"] is not None
 
-
-class TestServiceMetricsMerge:
-    def test_merge_snapshots_rederives_percentiles(self):
-        fast_node, slow_node = ServiceMetrics(), ServiceMetrics()
-        for v in FAST:
-            fast_node.observe_request("/x", 200, v)
-        for v in SLOW:
-            slow_node.observe_request("/x", 200, v)
-        merged = ServiceMetrics.merge_snapshots(
-            [fast_node.snapshot(), slow_node.snapshot()]
-        )
-        assert merged["nodes"] == 2
-        assert merged["requests_total"] == len(FAST) + len(SLOW)
-        assert merged["by_endpoint"]["/x"] == len(FAST) + len(SLOW)
-        expected = merge_digest_summaries(
-            [
-                summary_with_buckets(FAST),
-                summary_with_buckets(SLOW),
-            ]
-        )
-        assert merged["latency_s"]["p50"] == expected["p50"]
-        assert merged["latency_s"]["p99"] == expected["p99"]

@@ -94,7 +94,7 @@ class TestRegistryPayload:
         obs_digest = reg.histogram("latency_s").snapshot()
         summary = {k: v for k, v in service_digest.items() if k != "buckets"}
         assert summary == digest_summary([0.1, 0.2, 0.3])
-        # the bucket histogram rides along so shard snapshots merge
+        # the bucket histogram ships so readers can merge snapshots
         assert service_digest["buckets"] == latency_buckets([0.1, 0.2, 0.3])
         assert service_digest["p50"] == obs_digest["p50"]
         assert service_digest["p99"] == obs_digest["p99"]

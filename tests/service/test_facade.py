@@ -1,38 +1,24 @@
-"""The blocking clients are generated from their async twins: every
-public coroutine has a blocking method with the same signature and
-docstring, and no method the hand-written facades offered went missing."""
+"""The blocking client is generated from its async twin: every public
+coroutine has a blocking method with the same signature and docstring,
+and no method the hand-written facade offered went missing."""
 
 import inspect
 
 import pytest
 
-from repro.service import (
-    AsyncClusterClient,
-    AsyncRegistryClient,
-    ClusterClient,
-    RegistryClient,
-)
+from repro.service import AsyncRegistryClient, RegistryClient
 
 _PAIRS = [
     (RegistryClient, AsyncRegistryClient),
-    (ClusterClient, AsyncClusterClient),
 ]
 
-#: public methods of the hand-written blocking facades these replaced
+#: public methods of the hand-written blocking facade this replaced
 _PRIOR_METHODS = {
     RegistryClient: [
         "cache_stats", "close", "delete_tag", "diff", "fetch",
         "fetch_profile", "health", "info", "lint", "metrics", "platform",
         "platforms", "preselect", "preselect_batch", "profiles", "publish",
-        "publish_profile", "put_blob", "query", "request", "resolve",
-        "retag",
-    ],
-    ClusterClient: [
-        "cache_stats", "close", "delete_tag", "diff", "fetch",
-        "fetch_profile", "health", "lint", "metrics", "platform",
-        "platforms", "preselect", "preselect_batch", "profiles", "publish",
-        "publish_profile", "query", "resolve", "retag", "status",
-        "wait_converged",
+        "publish_profile", "query", "request", "resolve", "retag",
     ],
 }
 
@@ -70,6 +56,3 @@ def test_no_prior_method_went_missing(blocking_cls):
 
 def test_constructors_take_only_their_endpoint_arguments():
     assert list(inspect.signature(RegistryClient).parameters) == ["endpoint"]
-    params = inspect.signature(ClusterClient).parameters
-    assert list(params) == ["cluster_map", "endpoint_overrides"]
-    assert params["endpoint_overrides"].kind is inspect.Parameter.KEYWORD_ONLY

@@ -1,8 +1,12 @@
 """End-to-end tests: in-process server + blocking client over real HTTP."""
 
+import http.client
+import json
+
 import pytest
 
 from repro.pdl import load_platform, write_pdl
+from repro.pdl.catalog import content_digest
 from repro.service import RegistryClient, ServerThread
 
 
@@ -124,3 +128,26 @@ class TestEndToEnd:
         assert results[0]["report"]["fingerprint"] == results[2]["report"][
             "fingerprint"
         ]
+
+    def test_tagless_blob_write_and_oplog_are_not_routes(self, service):
+        """A single node serves no content-addressed ``/blobs`` write and
+        no ``/oplog`` pull: both answer a structured 404."""
+        platform = load_platform("cell_qs22")
+        platform.name = "blob-probe"
+        xml = write_pdl(platform)
+        probes = (
+            ("PUT", f"/blobs/{content_digest(xml)}", xml.encode("utf-8")),
+            ("GET", "/oplog", None),
+        )
+        for method, path, body in probes:
+            conn = http.client.HTTPConnection(
+                service.endpoint.host, service.endpoint.port, timeout=10
+            )
+            try:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                status, payload = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+            assert status == 404, path
+            assert payload["error"]["code"] == "not-found", path
